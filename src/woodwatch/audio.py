@@ -27,17 +27,25 @@ _PCM_FULL_SCALE = 32768.0
 
 
 class ClipLabel(enum.IntEnum):
-    """The two classification targets. Codes are part of the wire/report format."""
+    """The two classification targets. Codes and lower-case names are part of the file formats."""
 
     CLEAN = 0
     INFESTED = 1
 
+    @property
+    def text(self) -> str:
+        """The lower-case name."""
+        return self.name.lower()
+
     @classmethod
-    def from_name(cls, name: str) -> "ClipLabel":
-        try:
-            return cls[name.upper()]
-        except KeyError:
-            raise ValueError(f"unknown label {name!r}") from None
+    def parse(cls, value: str | int) -> "ClipLabel":
+        """The label with this lower-case name or this integer code."""
+        for label in cls:
+            if value in (label, label.text):
+                return label
+        raise ValueError(f"unknown label {value!r}")
+
+    from_name = parse
 
 
 @dataclass(frozen=True)

@@ -37,8 +37,8 @@ from .evaluation import (
     metrics_from_confusion,
 )
 from .ingest import query_store, serve, simulate_device
-from .models import ModelKind, TrainConfig, build_model, model_inputs, predict, train
-from .nn import load_checkpoint, save_checkpoint
+from .models import ModelKind, TrainConfig, build_model, load_model, model_inputs, predict, to_model_input, train
+from .nn import save_checkpoint
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -106,13 +106,13 @@ def _cmd_extract(args) -> int:
     if not wavs:
         raise InvalidDatasetError(f"no WAV files under {dataset}")
     cfg = features.FeatureConfig()
+    codes = {label.text: int(label) for label in audio.ClipLabel}
     ids, labels, matrices = [], [], []
     for wav_path in wavs:
         clip = audio.load_wav(wav_path)
         clip = audio.resample_linear(clip, audio.CANONICAL_RATE)
         segments = audio.segment_clip(clip, args.clip_seconds)
-        parent = wav_path.parent.name
-        label = int(audio.ClipLabel.from_name(parent)) if parent in ("clean", "infested") else -1
+        label = codes.get(wav_path.parent.name, -1)
         for k, segment in enumerate(segments):
             suffix = f"#{k}" if len(segments) > 1 else ""
             ids.append(str(wav_path.relative_to(dataset)) + suffix)
@@ -154,39 +154,21 @@ def _cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _labels_from_any(values) -> np.ndarray:
-    out = []
-    for v in values:
-        if isinstance(v, str):
-            out.append(int(audio.ClipLabel.from_name(v)))
-        else:
-            out.append(int(v))
-    return np.asarray(out)
-
-
 def _cmd_evaluate(args) -> int:
     if bool(args.predictions) == bool(args.checkpoint):
         raise ValueError("provide exactly one of --predictions or --checkpoint/--features")
     if args.predictions:
         payload = json.loads(Path(args.predictions).read_text())
-        true_labels = _labels_from_any(payload["true_labels"])
-        predicted = _labels_from_any(payload["predicted_labels"])
+        true_labels = np.asarray([int(audio.ClipLabel.parse(v)) for v in payload["true_labels"]])
+        predicted = np.asarray([int(audio.ClipLabel.parse(v)) for v in payload["predicted_labels"]])
     else:
         if not args.features:
             raise ValueError("--checkpoint requires --features")
-        checkpoint = load_checkpoint(args.checkpoint)
+        graph, kind, _, stats, _ = load_model(args.checkpoint)
         feature_set = features.load_features(args.features)
         _require_labels(feature_set)
-        kind = ModelKind(checkpoint.kind)
-        if kind is ModelKind.DNN_MEAN:
-            x = feature_set.mean_vectors
-        else:
-            if checkpoint.feature_stats is None:
-                raise CheckpointError(f"{args.checkpoint}: missing standardization stats")
-            stats = features.StandardizeStats.from_dict(checkpoint.feature_stats)
-            x = features.apply_standardize(feature_set.matrices, stats)
         true_labels = feature_set.labels
-        _, predicted = predict(checkpoint.graph, x)
+        _, predicted = predict(graph, to_model_input(kind, feature_set.matrices, stats))
     confusion = confusion_from_predictions(true_labels, predicted)
     report = metrics_from_confusion(confusion)
     if args.out_report:
@@ -237,7 +219,8 @@ def _cmd_simulate_device(args) -> int:
         source = args.wav
     else:
         cfg = synth.SynthConfig(snr_db=args.snr_db)
-        generate = synth.gen_clean_clip if args.synth == "clean" else synth.gen_infested_clip
+        infested = audio.ClipLabel.parse(args.synth) is audio.ClipLabel.INFESTED
+        generate = synth.gen_infested_clip if infested else synth.gen_clean_clip
         source = generate(cfg, args.seed)
     sent = simulate_device(args.host, args.port, source, args.device_id,
                            frame_samples=args.frame_samples, realtime=args.realtime)
@@ -259,6 +242,7 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="woodwatch",
                      description="Acoustic wood-pest detection pipeline")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+    label_names = [label.text for label in audio.ClipLabel]
 
     def add(name, func, help_text):
         p = sub.add_parser(name, help=help_text)
@@ -279,7 +263,7 @@ def build_parser() -> _Parser:
 
     p = add("extract", _cmd_extract, "extract MFCC features from a WAV directory")
     p.add_argument("--dataset", required=True)
-    p.add_argument("--out", required=True, help="feature dump path (JSON)")
+    p.add_argument("--out", required=True, help="binary feature dump path")
     p.add_argument("--clip-seconds", type=float, default=5.0)
 
     p = add("train", _cmd_train, "train one model kind on a feature dump")
@@ -329,7 +313,7 @@ def build_parser() -> _Parser:
     p.add_argument("--port", type=int, required=True)
     p.add_argument("--device-id", type=int, default=1)
     p.add_argument("--wav", default=None, help="stream this WAV file")
-    p.add_argument("--synth", default=None, choices=["clean", "infested"],
+    p.add_argument("--synth", default=None, choices=label_names,
                    help="stream a synthetic clip instead of a file")
     p.add_argument("--snr-db", type=float, default=10.0)
     p.add_argument("--frame-samples", type=int, default=2500)
@@ -338,7 +322,7 @@ def build_parser() -> _Parser:
     p = add("report", _cmd_report, "query the detection store")
     p.add_argument("--store", required=True)
     p.add_argument("--device", type=int, default=None)
-    p.add_argument("--label", default=None, choices=["clean", "infested"])
+    p.add_argument("--label", default=None, choices=label_names)
     p.add_argument("--since", default=None, help="ISO-8601 lower bound")
     p.add_argument("--until", default=None, help="ISO-8601 upper bound")
 

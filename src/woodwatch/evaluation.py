@@ -9,10 +9,11 @@ total.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .audio import ClipLabel
 from .errors import InvalidDatasetError, WoodwatchError
 from .features import FeatureSet
 from .models import ModelKind, TrainConfig, build_model, model_inputs, predict, train
@@ -32,14 +33,15 @@ class ConfusionMatrix:
         return self.tp + self.fn + self.fp + self.tn
 
     def to_dict(self) -> dict:
-        return {"tp": self.tp, "fn": self.fn, "fp": self.fp, "tn": self.tn}
+        return asdict(self)
 
     def to_csv(self) -> str:
         # rows = actual (clean, infested), columns = predicted (clean, infested)
+        clean, infested = ClipLabel.CLEAN.text, ClipLabel.INFESTED.text
         return (
-            "actual\\predicted,clean,infested\n"
-            f"clean,{self.tn},{self.fp}\n"
-            f"infested,{self.fn},{self.tp}\n"
+            f"actual\\predicted,{clean},{infested}\n"
+            f"{clean},{self.tn},{self.fp}\n"
+            f"{infested},{self.fn},{self.tp}\n"
         )
 
 
@@ -51,12 +53,7 @@ class MetricReport:
     f1: float
 
     def to_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -141,6 +138,9 @@ def confusion_from_predictions(true_labels: np.ndarray, predicted_labels: np.nda
     predicted_labels = np.asarray(predicted_labels)
     if true_labels.shape != predicted_labels.shape or true_labels.size == 0:
         raise ValueError("label arrays must be equal-length and non-empty")
+    for labels in (true_labels, predicted_labels):
+        if not np.isin(labels, (0, 1)).all():
+            raise ValueError(f"labels must be ClipLabel codes 0 or 1, got {np.unique(labels).tolist()}")
     tp = int(np.sum((true_labels == 1) & (predicted_labels == 1)))
     fn = int(np.sum((true_labels == 1) & (predicted_labels == 0)))
     fp = int(np.sum((true_labels == 0) & (predicted_labels == 1)))

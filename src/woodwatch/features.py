@@ -1,7 +1,8 @@
 """MFCC feature extraction.
 
 Turns an AudioClip into a T x 40 coefficient matrix (inputs for the
-sequence models) and its 40-dim time mean (input for the dense baseline).
+sequence models) and its 40-dim time mean (input for the dense baseline),
+and saves batches of matrices as binary feature dumps.
 
 The chain per frame: reflect-padded centered framing with a periodic Hann
 window, one-sided power spectrum, Slaney-scale triangular mel filterbank
@@ -14,15 +15,16 @@ in structure and to tight tolerances in value.
 from __future__ import annotations
 
 import functools
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 import scipy.fft
 
 from .audio import AudioClip, ClipLabel
+from .container import read_container, write_container
+from .errors import InvalidDatasetError
 
 _MEL_BREAK_HZ = 1000.0
 _MEL_BREAK = 15.0  # mel value at 1 kHz: 3 * 1000 / 200
@@ -54,15 +56,7 @@ class FeatureConfig:
             raise ValueError("log_floor must be positive")
 
     def to_dict(self) -> dict:
-        return {
-            "fft_size": self.fft_size,
-            "hop": self.hop,
-            "n_mels": self.n_mels,
-            "fmin": self.fmin,
-            "fmax": self.fmax,
-            "n_mfcc": self.n_mfcc,
-            "log_floor": self.log_floor,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "FeatureConfig":
@@ -251,7 +245,12 @@ def apply_standardize(matrix, stats: StandardizeStats) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Feature dump container: one record per clip, JSON for inspectability.
+# Feature dump: a ``WWFD`` container (woodwatch.container) whose header holds
+# the version, config, clip ids, label names (null if unknown) and the shape.
+
+_DUMP_MAGIC = b"WWFD"
+_DUMP_VERSION = 1
+
 
 @dataclass
 class FeatureSet:
@@ -273,36 +272,26 @@ class FeatureSet:
     def __len__(self) -> int:
         return len(self.ids)
 
-    @property
-    def mean_vectors(self) -> np.ndarray:
-        """[N, n_mfcc] time-mean features for the dense baseline."""
-        return self.matrices.mean(axis=1)
-
-
-_LABEL_NAMES = {ClipLabel.CLEAN: "clean", ClipLabel.INFESTED: "infested"}
-
 
 def save_features(path: str | Path, features: FeatureSet) -> None:
-    records = []
-    for i, clip_id in enumerate(features.ids):
-        label = int(features.labels[i])
-        records.append({
-            "id": clip_id,
-            "label": _LABEL_NAMES[ClipLabel(label)] if label >= 0 else None,
-            "t": int(features.matrices.shape[1]),
-            "n_mfcc": int(features.matrices.shape[2]),
-            "values": features.matrices[i].reshape(-1).tolist(),
-        })
-    payload = {"config": features.config.to_dict(), "records": records}
-    Path(path).write_text(json.dumps(payload))
+    header = {
+        "format_version": _DUMP_VERSION,
+        "config": features.config.to_dict(),
+        "ids": features.ids,
+        "labels": [ClipLabel(label).text if label >= 0 else None for label in features.labels],
+        "shape": list(features.matrices.shape),
+    }
+    write_container(path, _DUMP_MAGIC, header, features.matrices)
+
+
+def _dump_size(header: dict) -> int:
+    if header.get("format_version") != _DUMP_VERSION:
+        raise ValueError(f"unsupported feature dump version {header.get('format_version')}")
+    return math.prod(header["shape"])
 
 
 def load_features(path: str | Path) -> FeatureSet:
-    payload = json.loads(Path(path).read_text())
-    cfg = FeatureConfig.from_dict(payload["config"])
-    ids, labels, matrices = [], [], []
-    for rec in payload["records"]:
-        ids.append(rec["id"])
-        labels.append(int(ClipLabel.from_name(rec["label"])) if rec["label"] else -1)
-        matrices.append(np.asarray(rec["values"], dtype=np.float64).reshape(rec["t"], rec["n_mfcc"]))
-    return FeatureSet(ids, np.asarray(labels), np.stack(matrices), cfg)
+    header, values = read_container(path, _DUMP_MAGIC, InvalidDatasetError, _dump_size)
+    labels = [-1 if name is None else int(ClipLabel.parse(name)) for name in header["labels"]]
+    return FeatureSet(header["ids"], np.asarray(labels), values.reshape(header["shape"]),
+                      FeatureConfig.from_dict(header["config"]))

@@ -11,8 +11,11 @@ thread. Malformed frames are counted, never fatal.
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import queue
+import select
+import socket
 import socketserver
 import threading
 from datetime import datetime, timezone
@@ -20,17 +23,17 @@ from pathlib import Path
 
 import numpy as np
 
-from ..audio import AudioClip, CANONICAL_RATE, pcm16_to_float, resample_linear, save_wav
+from ..audio import AudioClip, CANONICAL_RATE, ClipLabel, pcm16_to_float, resample_linear, save_wav
 from ..errors import IntegrityError, ProtocolError, ServerStartupError, TruncationError
-from ..features import FeatureConfig, StandardizeStats, apply_standardize, mfcc_frames, mfcc_mean
-from ..models import ModelKind, predict
-from ..nn import load_checkpoint
+from ..features import mfcc_frames
+from ..models import load_model, predict, to_model_input
 from . import protocol
 from .store import DetectionRecord, append_records
 
 log = logging.getLogger(__name__)
 
 _STOP = object()
+_DRAIN_S = 3.0  # how long stop() lets open connections end on their own
 
 
 class _DeviceSession:
@@ -127,8 +130,21 @@ class _Handler(socketserver.StreamRequestHandler):
 
 
 class _TCPServer(socketserver.ThreadingTCPServer):
+    """Tracks each connection from accept until its handler has returned."""
+
     allow_reuse_address = True
     daemon_threads = True
+
+    def process_request(self, request, client_address):
+        with self.owner._open_changed:
+            self.owner._open.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request):
+        super().shutdown_request(request)
+        with self.owner._open_changed:
+            self.owner._open.discard(request)
+            self.owner._open_changed.notify_all()
 
 
 class IngestServer:
@@ -142,18 +158,8 @@ class IngestServer:
         self.archive_dir = Path(archive_dir) if archive_dir else None
         self.stats = _Stats()
 
-        checkpoint = load_checkpoint(checkpoint_path)
-        self._graph = checkpoint.graph
-        self._kind = ModelKind(checkpoint.kind)
-        self._checkpoint_id = checkpoint.digest
-        self._feature_config = (FeatureConfig.from_dict(checkpoint.feature_config)
-                                if checkpoint.feature_config else FeatureConfig())
-        self._stats_norm = (StandardizeStats.from_dict(checkpoint.feature_stats)
-                            if checkpoint.feature_stats else None)
-        if self._kind is not ModelKind.DNN_MEAN and self._stats_norm is None:
-            raise ServerStartupError(
-                f"checkpoint {checkpoint_path} lacks feature standardization stats"
-            )
+        (self._graph, self._kind, self._feature_config, self._stats_norm,
+         self._checkpoint_id) = load_model(checkpoint_path)
 
         try:
             with open(self.store_path, "a", encoding="utf-8"):
@@ -168,6 +174,8 @@ class IngestServer:
         except OSError as exc:
             raise ServerStartupError(f"cannot bind {host}:{port}: {exc}") from exc
         self._tcp.owner = self
+        self._open: set[socket.socket] = set()
+        self._open_changed = threading.Condition()
         self._queue: queue.Queue = queue.Queue()
         self._writer = threading.Thread(target=self._write_loop, name="store-writer", daemon=True)
         self._serve_thread: threading.Thread | None = None
@@ -183,10 +191,23 @@ class IngestServer:
         self._serve_thread.start()
 
     def stop(self) -> None:
+        """Stop accepting, end every connection, then write every queued record.
+
+        Connections still open after ``_DRAIN_S`` (idle or endless clients)
+        are shut down; only their partial clips are dropped.
+        """
         self._tcp.shutdown()
-        self._tcp.server_close()
         if self._serve_thread:
             self._serve_thread.join(timeout=5)
+        while select.select([self._tcp], [], [], 0)[0]:  # connected, not yet accepted
+            self._tcp.handle_request()
+        with self._open_changed:
+            if not self._open_changed.wait_for(lambda: not self._open, timeout=_DRAIN_S):
+                for conn in self._open:
+                    with contextlib.suppress(OSError):  # the client may have reset it
+                        conn.shutdown(socket.SHUT_RDWR)
+                self._open_changed.wait_for(lambda: not self._open, timeout=_DRAIN_S)
+        self._tcp.server_close()
         self._queue.put(_STOP)
         self._writer.join(timeout=5)
 
@@ -198,12 +219,9 @@ class IngestServer:
         if sample_rate != CANONICAL_RATE:
             clip = resample_linear(clip, CANONICAL_RATE)
         matrix = mfcc_frames(clip, self._feature_config)
-        if self._kind is ModelKind.DNN_MEAN:
-            x = mfcc_mean(matrix)[None, :]
-        else:
-            x = apply_standardize(matrix, self._stats_norm)[None, :, :]
+        x = to_model_input(self._kind, matrix.values[None], self._stats_norm)
         probs, labels = predict(self._graph, x)
-        return ("infested" if labels[0] == 1 else "clean"), float(probs[0, 1])
+        return ClipLabel(labels[0]).text, float(probs[0, 1])
 
     def process_clip(self, session: _DeviceSession, clip_pcm: np.ndarray) -> None:
         start = session.stream_position

@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
-log = logging.getLogger(__name__)
+from ..audio import ClipLabel
 
-_LABELS = ("clean", "infested")
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -18,28 +18,20 @@ class DetectionRecord:
     device_id: int
     clip_start: int         # first sample index of the clip within the device stream
     clip_length: int        # samples
-    label: str              # "clean" | "infested"
+    label: str              # a ClipLabel name
     p_infested: float
     checkpoint_id: str
 
     def __post_init__(self):
-        if self.label not in _LABELS:
-            raise ValueError(f"label must be one of {_LABELS}, got {self.label!r}")
+        if self.label not in [label.text for label in ClipLabel]:
+            raise ValueError(f"label must be a ClipLabel name, got {self.label!r}")
         if not 0.0 <= self.p_infested <= 1.0:
             raise ValueError(f"p_infested must be in [0, 1], got {self.p_infested}")
         if self.clip_start < 0 or self.clip_length < 1:
             raise ValueError("clip span must be non-negative start and positive length")
 
     def to_json_line(self) -> str:
-        return json.dumps({
-            "timestamp": self.timestamp,
-            "device_id": self.device_id,
-            "clip_start": self.clip_start,
-            "clip_length": self.clip_length,
-            "label": self.label,
-            "p_infested": self.p_infested,
-            "checkpoint_id": self.checkpoint_id,
-        })
+        return json.dumps(asdict(self))
 
     @classmethod
     def from_dict(cls, d: dict) -> "DetectionRecord":

@@ -1,20 +1,22 @@
 """The four classifier architectures and their shared training loop.
 
 ``dnn_mean`` consumes 40-dim time-mean feature vectors; the three sequence
-models consume standardized [T, 40] coefficient matrices. All end in a
-two-way softmax head. Training is mini-batch Adam with per-epoch seeded
-shuffling and is bit-reproducible for a fixed seed.
+models consume standardized [T, 40] coefficient matrices. All output two
+logits; :func:`predict` turns them into probabilities. Training is
+mini-batch Adam with per-epoch seeded shuffling and is bit-reproducible for
+a fixed seed.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from pathlib import Path
 
 import numpy as np
 
-from .errors import TrainingDivergedError
-from .features import FeatureSet, StandardizeStats, apply_standardize, fit_standardize
+from .errors import CheckpointError, TrainingDivergedError
+from .features import FeatureConfig, FeatureSet, StandardizeStats, apply_standardize, fit_standardize
 from .nn import (
     Adam,
     Conv1D,
@@ -25,7 +27,8 @@ from .nn import (
     MaxPool1D,
     ModelGraph,
     ReLU,
-    Softmax,
+    load_checkpoint,
+    softmax,
     softmax_cross_entropy,
 )
 
@@ -77,7 +80,7 @@ def build_model(kind: ModelKind, seed: int = 0, dims: GraphDims = GraphDims()) -
         for units in dims.dense_units:
             layers += [Dense(in_dim, units, rng), ReLU(), Dropout(drop)]
             in_dim = units
-        layers += [Dense(in_dim, N_CLASSES, rng), Softmax()]
+        layers.append(Dense(in_dim, N_CLASSES, rng))
         return ModelGraph(layers)
 
     if kind in (ModelKind.CNN, ModelKind.CNN_LSTM):
@@ -99,7 +102,7 @@ def build_model(kind: ModelKind, seed: int = 0, dims: GraphDims = GraphDims()) -
 
     layers += [
         Dense(head_in, dims.head_units, rng), ReLU(), Dropout(drop),
-        Dense(dims.head_units, N_CLASSES, rng), Softmax(),
+        Dense(dims.head_units, N_CLASSES, rng),
     ]
     return ModelGraph(layers)
 
@@ -126,12 +129,7 @@ class TrainHistory:
     val_accuracy: list[float] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "train_loss": self.train_loss,
-            "train_accuracy": self.train_accuracy,
-            "val_loss": self.val_loss,
-            "val_accuracy": self.val_accuracy,
-        }
+        return asdict(self)
 
 
 def _onehot(labels: np.ndarray) -> np.ndarray:
@@ -141,7 +139,7 @@ def _onehot(labels: np.ndarray) -> np.ndarray:
 
 
 def _eval_pass(graph: ModelGraph, x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    logits = graph.forward_logits(x, train=False)
+    logits = graph.forward(x, train=False)
     loss, probs, _ = softmax_cross_entropy(logits, _onehot(y))
     accuracy = float((probs.argmax(axis=1) == y).mean())
     return loss, accuracy
@@ -170,14 +168,14 @@ def train(graph: ModelGraph, x_train: np.ndarray, y_train: np.ndarray,
         correct = 0
         for batch_index, start in enumerate(range(0, n, cfg.batch_size)):
             idx = order[start : start + cfg.batch_size]
-            logits = graph.forward_logits(x_train[idx], train=True, rng=rng)
+            logits = graph.forward(x_train[idx], train=True, rng=rng)
             loss, probs, dlogits = softmax_cross_entropy(logits, onehot_all[idx])
             if not np.isfinite(loss):
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch}, batch {batch_index}"
                 )
             graph.zero_grads()
-            graph.backward_from_logits(dlogits)
+            graph.backward(dlogits)
             try:
                 adam.step(graph.grads())
             except TrainingDivergedError as exc:
@@ -196,19 +194,32 @@ def train(graph: ModelGraph, x_train: np.ndarray, y_train: np.ndarray,
 
 def predict(graph: ModelGraph, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Inference-mode class probabilities and argmax labels (ties -> clean)."""
-    probs = graph.forward(x, train=False)
+    probs = softmax(graph.forward(x, train=False))
     return probs, probs.argmax(axis=1)
+
+
+def to_model_input(kind: ModelKind, matrices: np.ndarray, stats: StandardizeStats | None) -> np.ndarray:
+    """[N, T, C] MFCC matrices as model input: time means for dnn_mean, else standardized."""
+    if ModelKind(kind) is ModelKind.DNN_MEAN:
+        return matrices.mean(axis=1)
+    return apply_standardize(matrices, stats)
 
 
 def model_inputs(kind: ModelKind, features: FeatureSet,
                  fit_indices: np.ndarray) -> tuple[np.ndarray, StandardizeStats | None]:
-    """Feature representation for a model kind over the whole set.
+    """Model input for every clip of the set, plus the standardization stats
+    (None for dnn_mean), fit on ``fit_indices`` only (the training portion)."""
+    stats = None if ModelKind(kind) is ModelKind.DNN_MEAN else fit_standardize(features.matrices[fit_indices])
+    return to_model_input(kind, features.matrices, stats), stats
 
-    dnn_mean gets raw time-mean vectors. Sequence models get coefficient
-    matrices standardized with stats fit on ``fit_indices`` only (the
-    training portion), applied to every clip.
-    """
-    if ModelKind(kind) is ModelKind.DNN_MEAN:
-        return features.mean_vectors, None
-    stats = fit_standardize(features.matrices[fit_indices])
-    return apply_standardize(features.matrices, stats), stats
+
+def load_model(path: str | Path) -> tuple[ModelGraph, ModelKind, FeatureConfig,
+                                         StandardizeStats | None, str]:
+    """A checkpoint's graph, kind, feature config, standardization stats and id."""
+    checkpoint = load_checkpoint(path)
+    kind = ModelKind(checkpoint.kind)
+    if kind is not ModelKind.DNN_MEAN and checkpoint.feature_stats is None:
+        raise CheckpointError(f"{path}: {kind.value} checkpoint lacks feature standardization stats")
+    cfg = FeatureConfig.from_dict(checkpoint.feature_config) if checkpoint.feature_config else FeatureConfig()
+    stats = StandardizeStats.from_dict(checkpoint.feature_stats) if checkpoint.feature_stats else None
+    return checkpoint.graph, kind, cfg, stats, checkpoint.digest

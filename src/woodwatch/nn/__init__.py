@@ -8,8 +8,8 @@ from .layers import (
     MaxPool1D,
     ModelGraph,
     ReLU,
-    Softmax,
     layer_from_spec,
+    softmax,
     softmax_cross_entropy,
 )
 from .optim import Adam
@@ -28,10 +28,10 @@ __all__ = [
     "MaxPool1D",
     "ModelGraph",
     "ReLU",
-    "Softmax",
     "finite_diff_check",
     "layer_from_spec",
     "load_checkpoint",
     "save_checkpoint",
+    "softmax",
     "softmax_cross_entropy",
 ]

@@ -1,27 +1,27 @@
 """Model checkpoint container.
 
-Layout: magic ``WWCK`` | u32 header length | UTF-8 JSON header | flat
-little-endian float64 parameter payload in layer order (within a layer:
-Dense W,b; Conv1D K,b; LSTM W,U,b). The header records format version,
-architecture kind, the layer spec list, the training seed, and any
-feature-preprocessing state the model needs at inference time.
+The file is a ``WWCK`` container (see :mod:`woodwatch.container`): a JSON
+header, then every parameter as flat little-endian float64 in layer order
+(within a layer: Dense W,b; Conv1D K,b; LSTM W,U,b). The header records
+format version, architecture kind, the layer spec list, the training seed,
+and any feature-preprocessing state the model needs at inference time.
+Version 2 graphs end in logits; version 1 graphs, which did not, are rejected.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from ..container import read_container, write_container
 from ..errors import CheckpointError
 from .layers import ModelGraph
 
 _MAGIC = b"WWCK"
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
 
 
 @dataclass
@@ -46,49 +46,34 @@ def save_checkpoint(path: str | Path, graph: ModelGraph, kind: str, seed: int,
         "feature_stats": feature_stats,
         "feature_config": feature_config,
     }
-    header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     payload = np.concatenate([p.reshape(-1) for p in graph.params()]) if graph.params() else np.empty(0)
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<I", len(header_bytes)))
-        fh.write(header_bytes)
-        fh.write(payload.astype("<f8").tobytes())
+    write_container(path, _MAGIC, header, payload)
+
+
+def _param_count(header: dict) -> int:
+    version = header.get("format_version")
+    if version != _FORMAT_VERSION:
+        raise ValueError(f"unsupported format version {version}, this build reads "
+                         f"version {_FORMAT_VERSION}; retrain the model")
+    return ModelGraph.from_specs(header["layers"]).param_count
 
 
 def load_checkpoint(path: str | Path, expected_kind: str | None = None) -> Checkpoint:
-    blob = Path(path).read_bytes()
-    if len(blob) < 8 or blob[:4] != _MAGIC:
-        raise CheckpointError(f"{path}: not a model checkpoint")
-    (header_len,) = struct.unpack("<I", blob[4:8])
-    if len(blob) < 8 + header_len:
-        raise CheckpointError(f"{path}: truncated header")
-    try:
-        header = json.loads(blob[8 : 8 + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"{path}: unreadable header ({exc})") from exc
-    if header.get("format_version") != _FORMAT_VERSION:
-        raise CheckpointError(f"{path}: unsupported format version {header.get('format_version')}")
+    header, flat = read_container(path, _MAGIC, CheckpointError, _param_count)
     if expected_kind is not None and header.get("kind") != expected_kind:
         raise CheckpointError(
             f"{path}: architecture mismatch, checkpoint is {header.get('kind')!r}, expected {expected_kind!r}"
         )
-
     graph = ModelGraph.from_specs(header["layers"])
-    flat = np.frombuffer(blob[8 + header_len :], dtype="<f8")
-    if flat.size != graph.param_count:
-        raise CheckpointError(
-            f"{path}: payload holds {flat.size} values, architecture needs {graph.param_count}"
-        )
     offset = 0
     for param in graph.params():
         param[...] = flat[offset : offset + param.size].reshape(param.shape)
         offset += param.size
-    digest = hashlib.sha256(blob).hexdigest()[:12]
     return Checkpoint(
         graph=graph,
         kind=header["kind"],
         seed=header["seed"],
         feature_stats=header.get("feature_stats"),
         feature_config=header.get("feature_config"),
-        digest=digest,
+        digest=hashlib.sha256(Path(path).read_bytes()).hexdigest()[:12],
     )

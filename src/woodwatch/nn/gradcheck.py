@@ -23,15 +23,15 @@ def finite_diff_check(graph: ModelGraph, x: np.ndarray, onehot: np.ndarray,
 
     def loss_at_current_params() -> float:
         rng = np.random.default_rng(seed)
-        logits = graph.forward_logits(x, train=True, rng=rng)
+        logits = graph.forward(x, train=True, rng=rng)
         loss, _, _ = softmax_cross_entropy(logits, onehot)
         return loss
 
     rng = np.random.default_rng(seed)
-    logits = graph.forward_logits(x, train=True, rng=rng)
+    logits = graph.forward(x, train=True, rng=rng)
     _, _, dlogits = softmax_cross_entropy(logits, onehot)
     graph.zero_grads()
-    graph.backward_from_logits(dlogits)
+    graph.backward(dlogits)
     analytic = [g.copy() for g in graph.grads()]
 
     worst = 0.0

@@ -4,10 +4,9 @@ Layers cache whatever the backward pass needs during a train-mode forward;
 inference-mode forwards write no state, so concurrent inference on a shared
 graph is safe. ``backward`` is only valid after a ``train=True`` forward.
 
-A :class:`ModelGraph` chains layers; training drives it through
-``forward_logits`` / ``backward_from_logits`` with the fused softmax
-cross-entropy below, inference through ``forward`` (which includes the
-trailing Softmax layer when present).
+A :class:`ModelGraph` chains layers and outputs logits. Training pairs it
+with the fused softmax cross-entropy below; inference turns logits into
+probabilities with :func:`softmax`.
 
 Weight init is Glorot uniform (limit sqrt(6 / (fan_in + fan_out))) for
 dense, convolution and LSTM matrices; biases start at zero except the LSTM
@@ -312,25 +311,6 @@ class LSTM(Layer):
         return {"kind": "lstm", "in": self.in_dim, "hidden": self.hidden}
 
 
-class Softmax(Layer):
-    """Row-wise softmax head; training paths fuse this into the loss instead."""
-
-    def forward(self, x, train=False, rng=None):
-        shifted = x - x.max(axis=-1, keepdims=True)
-        e = np.exp(shifted)
-        p = e / e.sum(axis=-1, keepdims=True)
-        if train:
-            self._p = p
-        return p
-
-    def backward(self, dy):
-        dot = (dy * self._p).sum(axis=-1, keepdims=True)
-        return self._p * (dy - dot)
-
-    def spec(self):
-        return {"kind": "softmax"}
-
-
 _LAYER_KINDS = {
     "dense": lambda d: Dense(d["in"], d["out"]),
     "relu": lambda d: ReLU(),
@@ -339,7 +319,6 @@ _LAYER_KINDS = {
     "maxpool1d": lambda d: MaxPool1D(d["width"]),
     "globalavgpool1d": lambda d: GlobalAvgPool1D(),
     "lstm": lambda d: LSTM(d["in"], d["hidden"]),
-    "softmax": lambda d: Softmax(),
 }
 
 
@@ -351,31 +330,19 @@ def layer_from_spec(d: dict) -> Layer:
 
 
 class ModelGraph:
-    """A fixed chain of layers, optionally ending in Softmax."""
+    """A fixed chain of layers mapping inputs to logits."""
 
     def __init__(self, layers: list[Layer]):
         self.layers = layers
-
-    @property
-    def has_softmax_head(self) -> bool:
-        return bool(self.layers) and isinstance(self.layers[-1], Softmax)
-
-    def _body(self) -> list[Layer]:
-        return self.layers[:-1] if self.has_softmax_head else self.layers
 
     def forward(self, x, train: bool = False, rng: np.random.Generator | None = None) -> np.ndarray:
         for layer in self.layers:
             x = layer.forward(x, train=train, rng=rng)
         return x
 
-    def forward_logits(self, x, train: bool = False, rng: np.random.Generator | None = None) -> np.ndarray:
-        for layer in self._body():
-            x = layer.forward(x, train=train, rng=rng)
-        return x
-
-    def backward_from_logits(self, dlogits: np.ndarray) -> np.ndarray:
+    def backward(self, dlogits: np.ndarray) -> np.ndarray:
         grad = dlogits
-        for layer in reversed(self._body()):
+        for layer in reversed(self.layers):
             grad = layer.backward(grad)
         return grad
 
@@ -399,6 +366,12 @@ class ModelGraph:
     @classmethod
     def from_specs(cls, specs: list[dict]) -> "ModelGraph":
         return cls([layer_from_spec(d) for d in specs])
+
+
+def softmax(logits: np.ndarray) -> np.ndarray:
+    """Row-wise max-shifted softmax: class probabilities from logits."""
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def softmax_cross_entropy(logits: np.ndarray, onehot: np.ndarray):

@@ -10,12 +10,12 @@ state (config + per-clip seeds) to rebuild it byte-for-byte.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .audio import AudioClip, save_wav
+from .audio import AudioClip, ClipLabel, save_wav
 
 _PEAK_TARGET = 0.5
 
@@ -46,16 +46,7 @@ class SynthConfig:
         return int(round(self.duration_s * self.sample_rate))
 
     def to_dict(self) -> dict:
-        return {
-            "sample_rate": self.sample_rate,
-            "duration_s": self.duration_s,
-            "click_rate": self.click_rate,
-            "band_low_hz": self.band_low_hz,
-            "band_high_hz": self.band_high_hz,
-            "click_decay_s": self.click_decay_s,
-            "snr_db": self.snr_db,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "SynthConfig":
@@ -152,8 +143,8 @@ def gen_dataset(out_dir: str | Path, n_per_class: int, cfg: SynthConfig) -> dict
 
     manifest = {"config": cfg.to_dict(), "n_per_class": n_per_class, "clips": []}
     for label, offset, generate in (
-        ("clean", 0, gen_clean_clip),
-        ("infested", n_per_class, gen_infested_clip),
+        (ClipLabel.CLEAN.text, 0, gen_clean_clip),
+        (ClipLabel.INFESTED.text, n_per_class, gen_infested_clip),
     ):
         class_dir = out_dir / label
         class_dir.mkdir(parents=True, exist_ok=True)

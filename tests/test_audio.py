@@ -29,6 +29,14 @@ def test_clip_labels_have_stable_codes():
     assert ClipLabel.CLEAN == 0
     assert ClipLabel.INFESTED == 1
     assert ClipLabel.from_name("infested") is ClipLabel.INFESTED
+    assert [label.text for label in ClipLabel] == ["clean", "infested"]
+    for label in ClipLabel:
+        assert ClipLabel.parse(label.text) is label
+        assert ClipLabel.parse(int(label)) is label
+        assert ClipLabel.parse(np.int64(label)) is label
+    for bad in ("CLEAN", "1", "noise", 2, -1, 0.5, None):
+        with pytest.raises(ValueError):
+            ClipLabel.parse(bad)
 
 
 def test_clip_clamps_and_is_immutable():

@@ -6,6 +6,8 @@ import pytest
 
 from woodwatch.cli import main
 from woodwatch.features import load_features
+from woodwatch.models import ModelKind, build_model
+from woodwatch.nn import save_checkpoint
 
 
 def run_cli(capsys, *argv):
@@ -92,6 +94,26 @@ def test_evaluate_requires_exactly_one_source(capsys):
     assert code == 2
 
 
+def test_evaluate_rejects_labels_outside_the_two_classes(capsys, tmp_path):
+    fixture = tmp_path / "preds.json"
+    fixture.write_text(json.dumps({"true_labels": [0, 1, 2, 2], "predicted_labels": [0, 1, 0, 1]}))
+    code, _, err = run_cli(capsys, "evaluate", "--predictions", str(fixture))
+    assert code == 2
+    assert "unknown label 2" in err
+
+
+def test_train_rejects_json_feature_dump(capsys, tmp_path):
+    # the JSON layout dumps had before the binary container
+    old = tmp_path / "features.json"
+    old.write_text(json.dumps({"config": {}, "records": [
+        {"id": "clean/a.wav", "label": "clean", "t": 1, "n_mfcc": 1, "values": [0.0]},
+    ]}))
+    code, _, err = run_cli(capsys, "train", "--features", str(old), "--kind", "dnn_mean",
+                           "--out-checkpoint", str(tmp_path / "m.ckpt"))
+    assert code == 2
+    assert "not a WWFD file" in err
+
+
 @pytest.fixture(scope="module")
 def small_pipeline(tmp_path_factory):
     """gen-synth + extract once for the train/evaluate/compare smoke tests."""
@@ -143,6 +165,15 @@ def test_train_then_evaluate_roundtrip(capsys, small_pipeline, tmp_path):
     assert code == 0
     result = json_lines(out)[-1]
     assert result["metrics"]["accuracy"] >= 0.5
+
+
+def test_evaluate_sequence_checkpoint_without_stats_is_data_error(capsys, small_pipeline, tmp_path):
+    _, feats = small_pipeline
+    ckpt = tmp_path / "no-stats.ckpt"
+    save_checkpoint(ckpt, build_model(ModelKind.CNN_LSTM, seed=0), ModelKind.CNN_LSTM.value, seed=0)
+    code, _, err = run_cli(capsys, "evaluate", "--checkpoint", str(ckpt), "--features", str(feats))
+    assert code == 2
+    assert "lacks feature standardization stats" in err
 
 
 def test_crossval_cli(capsys, small_pipeline, tmp_path):

@@ -115,6 +115,13 @@ def test_confusion_rejects_length_mismatch():
         confusion_from_predictions(np.array([0, 1]), np.array([0]))
 
 
+def test_confusion_rejects_labels_outside_the_two_classes():
+    with pytest.raises(ValueError):
+        confusion_from_predictions(np.array([0, 1, 2, 2]), np.array([0, 1, 0, 1]))
+    with pytest.raises(ValueError):
+        confusion_from_predictions(np.array([0, 1]), np.array([0, -1]))
+
+
 def test_metrics_published_counts():
     m = ConfusionMatrix(tp=48, fn=2, fp=3, tn=47)
     report = metrics_from_confusion(m)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 import oracles
 from woodwatch.audio import AudioClip
+from woodwatch.errors import InvalidDatasetError
 from woodwatch.features import (
     FeatureConfig,
     FeatureSet,
@@ -253,9 +255,9 @@ def test_standardize_matches_two_pass_oracle():
 def test_feature_dump_roundtrip(tmp_path):
     rng = np.random.default_rng(9)
     feature_set = FeatureSet(
-        ids=["a", "b"],
-        labels=np.array([0, 1]),
-        matrices=rng.normal(size=(2, 6, 40)),
+        ids=["a", "b", "c"],
+        labels=np.array([0, 1, -1]),
+        matrices=rng.normal(size=(3, 6, 40)),
         config=CFG,
     )
     path = tmp_path / "features.json"
@@ -265,3 +267,17 @@ def test_feature_dump_roundtrip(tmp_path):
     assert np.array_equal(loaded.labels, feature_set.labels)
     assert np.array_equal(loaded.matrices, feature_set.matrices)
     assert loaded.config == CFG
+
+
+def test_feature_dump_rejects_json_and_truncated_dumps(tmp_path):
+    path = tmp_path / "features.bin"
+    save_features(path, FeatureSet(["a", "b"], np.array([0, 1]), np.zeros((2, 6, 40)), CFG))
+    blob = path.read_bytes()
+    # the JSON layout dumps had before the binary container
+    old = json.dumps({"config": CFG.to_dict(), "records": [
+        {"id": "a", "label": "clean", "t": 1, "n_mfcc": 2, "values": [0.0, 1.0]},
+    ]}).encode()
+    for bad in (old, blob[:-8], blob[:-3], blob[:10]):  # JSON; a value, part of one, the header cut
+        path.write_bytes(bad)
+        with pytest.raises(InvalidDatasetError):
+            load_features(path)

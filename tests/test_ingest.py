@@ -232,6 +232,37 @@ def test_garbage_bytes_close_connection_without_crash(running_server):
     assert wait_for(lambda: server.stats.snapshot()["records_written"] == 1)
 
 
+def test_stop_writes_every_clip_already_sent(served_checkpoint, tmp_path):
+    clips_per_device = 10
+    cfg = SynthConfig(duration_s=5.0 * clips_per_device, snr_db=12.0)
+    sources = {device_id: gen_clean_clip(cfg, seed=600 + device_id) for device_id in (1, 2, 3)}
+    store = tmp_path / "store.jsonl"
+    server = IngestServer(0, served_checkpoint, store)
+    server.start()
+    threads = [
+        threading.Thread(target=simulate_device, args=("127.0.0.1", server.port, clip, device_id))
+        for device_id, clip in sources.items()
+    ]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    server.stop()  # as soon as the senders have closed
+    sent = clips_per_device * len(sources)
+    assert server.stats.snapshot()["records_written"] == sent
+    assert len(load_store(store)[0]) == sent
+
+
+def test_stop_does_not_hang_on_an_idle_client(served_checkpoint, tmp_path):
+    server = IngestServer(0, served_checkpoint, tmp_path / "store.jsonl")
+    server.start()
+    with socket.create_connection(("127.0.0.1", server.port)):
+        time.sleep(0.2)  # accepted; the client sends nothing and keeps the connection
+        start = time.time()
+        server.stop()
+        assert time.time() - start < 10.0
+
+
 def test_simulator_realtime_pacing(running_server):
     server, _, _ = running_server
     clip = AudioClip(np.zeros(8000), 16000)  # 0.5 s

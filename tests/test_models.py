@@ -26,7 +26,7 @@ def test_every_kind_outputs_normalized_pairs():
     for kind in ModelKind:
         graph = build_model(kind, seed=1)
         x = rng.normal(size=(3, 40)) if kind is ModelKind.DNN_MEAN else rng.normal(size=(3, 157, 40))
-        probs = graph.forward(x)
+        probs, _ = predict(graph, x)
         assert probs.shape == (3, 2)
         assert np.abs(probs.sum(axis=1) - 1.0).max() < 1e-12
 
@@ -113,7 +113,7 @@ def test_overfit_eight_samples_and_objective_monotone(tiny_features):
 def test_predict_tie_breaks_toward_clean():
     graph = build_model(ModelKind.DNN_MEAN, seed=0)
     # zero the head: logits are exactly equal
-    head = graph.layers[-2]
+    head = graph.layers[-1]
     head.w[...] = 0.0
     head.b[...] = 0.0
     probs, labels = predict(graph, np.random.default_rng(0).normal(size=(4, 40)))

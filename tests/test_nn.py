@@ -1,4 +1,6 @@
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -15,10 +17,10 @@ from woodwatch.nn import (
     MaxPool1D,
     ModelGraph,
     ReLU,
-    Softmax,
     finite_diff_check,
     load_checkpoint,
     save_checkpoint,
+    softmax,
     softmax_cross_entropy,
 )
 
@@ -143,7 +145,7 @@ def test_lstm_forget_bias_initialized_to_one():
 
 def test_lstm_gradients_match_finite_differences():
     rng = np.random.default_rng(6)
-    graph = ModelGraph([LSTM(3, 3, rng=rng), Dense(3, 2, rng=rng), Softmax()])
+    graph = ModelGraph([LSTM(3, 3, rng=rng), Dense(3, 2, rng=rng)])
     x = rng.normal(size=(2, 4, 3))
     onehot = np.array([[1.0, 0.0], [0.0, 1.0]])
     assert finite_diff_check(graph, x, onehot, epsilon=1e-4) < 1e-4
@@ -248,7 +250,7 @@ def test_adam_aborts_on_nonfinite_gradient():
 
 def test_gradcheck_small_on_linear_model():
     rng = np.random.default_rng(1)
-    graph = ModelGraph([Dense(3, 2, rng=rng), Softmax()])
+    graph = ModelGraph([Dense(3, 2, rng=rng)])
     x = rng.normal(size=(4, 3))
     onehot = np.tile([1.0, 0.0], (4, 1))
     assert finite_diff_check(graph, x, onehot) < 1e-8
@@ -263,7 +265,7 @@ def test_gradcheck_detects_doubled_gradient():
 
     rng = np.random.default_rng(2)
     layer = DoubledDense(3, 2, rng=rng)
-    graph = ModelGraph([layer, Softmax()])
+    graph = ModelGraph([layer])
     x = rng.normal(size=(4, 3))
     onehot = np.tile([0.0, 1.0], (4, 1))
     err = finite_diff_check(graph, x, onehot)
@@ -274,7 +276,7 @@ def test_maxpool_gradcheck():
     rng = np.random.default_rng(3)
     graph = ModelGraph([
         Conv1D(2, 3, 3, rng=rng), ReLU(), MaxPool1D(2),
-        GlobalAvgPool1D(), Dense(3, 2, rng=rng), Softmax(),
+        GlobalAvgPool1D(), Dense(3, 2, rng=rng),
     ])
     x = rng.normal(size=(2, 8, 2))
     onehot = np.array([[1.0, 0.0], [0.0, 1.0]])
@@ -287,7 +289,7 @@ def make_graph(seed=0):
     rng = np.random.default_rng(seed)
     return ModelGraph([
         Conv1D(4, 3, 3, rng=rng), ReLU(), MaxPool1D(2),
-        LSTM(3, 5, rng=rng), Dense(5, 2, rng=rng), Softmax(),
+        LSTM(3, 5, rng=rng), Dense(5, 2, rng=rng),
     ])
 
 
@@ -331,9 +333,18 @@ def test_checkpoint_rejects_kind_mismatch(tmp_path):
 
 def test_checkpoint_rejects_garbage(tmp_path):
     path = tmp_path / "junk.ckpt"
-    path.write_bytes(b"not a checkpoint at all")
-    with pytest.raises(CheckpointError):
-        load_checkpoint(path)
+    for blob in [
+        b"not a checkpoint at all",
+        b"",
+        b"WWCK",
+        b"WWCK" + struct.pack("<I", 99) + b"{}",  # header longer than the file
+        b"WWCK" + struct.pack("<I", 2) + b"\xff\xfe",  # header not UTF-8
+        b"WWCK" + struct.pack("<I", 2) + b"[]",  # header not a JSON object
+        b"WWCK" + struct.pack("<I", 2) + b"{}",  # no version, no layers
+    ]:
+        path.write_bytes(blob)
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
 
 
 def test_checkpoint_rejects_truncated_payload(tmp_path):
@@ -341,6 +352,30 @@ def test_checkpoint_rejects_truncated_payload(tmp_path):
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, graph, "cnn_lstm", seed=0)
     blob = path.read_bytes()
-    path.write_bytes(blob[:-16])
-    with pytest.raises(CheckpointError):
+    for cut in (16, 3):  # whole values, then part of one
+        path.write_bytes(blob[:-cut])
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+
+def test_checkpoint_rejects_format_version_1(tmp_path):
+    # a version 1 file: the same layout, its graph ending in a softmax layer
+    graph = make_graph()
+    header = json.dumps({
+        "format_version": 1, "kind": "cnn_lstm", "layers": graph.specs() + [{"kind": "softmax"}],
+        "seed": 0, "param_count": graph.param_count, "feature_stats": None, "feature_config": None,
+    }).encode()
+    payload = np.concatenate([p.reshape(-1) for p in graph.params()]).astype("<f8").tobytes()
+    path = tmp_path / "v1.ckpt"
+    path.write_bytes(b"WWCK" + struct.pack("<I", len(header)) + header + payload)
+    with pytest.raises(CheckpointError, match="version 1"):
         load_checkpoint(path)
+
+
+def test_softmax_is_the_max_shifted_formula():
+    graph = make_graph()
+    x = RNG.normal(size=(3, 6, 4))
+    logits = graph.forward(x)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    expected = np.exp(shifted) / np.exp(shifted).sum(axis=-1, keepdims=True)
+    assert np.array_equal(softmax(logits), expected)
