@@ -9,7 +9,7 @@ total.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -162,9 +162,8 @@ def _fit_and_score(kind: ModelKind, features: FeatureSet, train_idx: np.ndarray,
                    test_idx: np.ndarray, seed: int, cfg: TrainConfig) -> tuple[MetricReport, ConfusionMatrix]:
     inputs, _ = model_inputs(kind, features, train_idx)
     graph = build_model(kind, seed=seed)
-    run_cfg = TrainConfig(epochs=cfg.epochs, batch_size=cfg.batch_size, seed=seed, shuffle=cfg.shuffle)
     train(graph, inputs[train_idx], features.labels[train_idx],
-          inputs[test_idx], features.labels[test_idx], run_cfg)
+          inputs[test_idx], features.labels[test_idx], replace(cfg, seed=seed))
     _, predicted = predict(graph, inputs[test_idx])
     confusion = confusion_from_predictions(features.labels[test_idx], predicted)
     return metrics_from_confusion(confusion), confusion

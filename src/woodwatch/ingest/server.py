@@ -5,15 +5,15 @@ device's sample buffer in sequence order; sequence gaps are zero-filled
 (sized by the revealing frame) and counted, duplicates are dropped. Every
 time a full clip's worth of samples accumulates, the clip is resampled to
 the canonical rate if needed, featurized, classified with the loaded
-checkpoint, and appended to the JSON-lines store by the single writer
-thread. Malformed frames are counted, never fatal.
+checkpoint, and appended to the JSON-lines store by the connection's own
+handler under one lock. Malformed frames and store failures are counted,
+never fatal.
 """
 
 from __future__ import annotations
 
 import contextlib
 import logging
-import queue
 import select
 import socket
 import socketserver
@@ -32,7 +32,6 @@ from .store import DetectionRecord, append_records
 
 log = logging.getLogger(__name__)
 
-_STOP = object()
 _DRAIN_S = 3.0  # how long stop() lets open connections end on their own
 
 
@@ -47,7 +46,6 @@ class _DeviceSession:
         self.chunks: list[np.ndarray] = []
         self.buffered = 0
         self.stream_position = 0  # absolute sample index of the next clip start
-        self.clip_index = 0
 
     @property
     def clip_samples(self) -> int:
@@ -96,6 +94,7 @@ class _Stats:
             "sequence_gaps": 0,
             "records_written": 0,
             "classify_errors": 0,
+            "store_errors": 0,
         }
 
     def bump(self, key: str, by: int = 1) -> None:
@@ -148,7 +147,7 @@ class _TCPServer(socketserver.ThreadingTCPServer):
 
 
 class IngestServer:
-    """Owns the socket, the classifier, and the single store writer."""
+    """Owns the socket, the classifier and the store."""
 
     def __init__(self, port: int, checkpoint_path: str | Path, store_path: str | Path,
                  archive_dir: str | Path | None = None, clip_seconds: float = 5.0,
@@ -176,8 +175,7 @@ class IngestServer:
         self._tcp.owner = self
         self._open: set[socket.socket] = set()
         self._open_changed = threading.Condition()
-        self._queue: queue.Queue = queue.Queue()
-        self._writer = threading.Thread(target=self._write_loop, name="store-writer", daemon=True)
+        self._store_lock = threading.Lock()
         self._serve_thread: threading.Thread | None = None
 
     @property
@@ -185,19 +183,20 @@ class IngestServer:
         return self._tcp.server_address[1]
 
     def start(self) -> None:
-        self._writer.start()
         self._serve_thread = threading.Thread(target=self._tcp.serve_forever,
                                               name="ingest-accept", daemon=True)
         self._serve_thread.start()
 
     def stop(self) -> None:
-        """Stop accepting, end every connection, then write every queued record.
+        """Stop accepting, end every connection, close the socket.
 
-        Connections still open after ``_DRAIN_S`` (idle or endless clients)
-        are shut down; only their partial clips are dropped.
+        Each handler stores its own clips, so once every handler has
+        returned every complete clip is on disk. Connections still open
+        after ``_DRAIN_S`` (idle or endless clients) are shut down; only
+        their partial clips are dropped.
         """
-        self._tcp.shutdown()
-        if self._serve_thread:
+        if self._serve_thread:  # shutdown() waits for a serve_forever loop
+            self._tcp.shutdown()
             self._serve_thread.join(timeout=5)
         while select.select([self._tcp], [], [], 0)[0]:  # connected, not yet accepted
             self._tcp.handle_request()
@@ -208,8 +207,6 @@ class IngestServer:
                         conn.shutdown(socket.SHUT_RDWR)
                 self._open_changed.wait_for(lambda: not self._open, timeout=_DRAIN_S)
         self._tcp.server_close()
-        self._queue.put(_STOP)
-        self._writer.join(timeout=5)
 
     # -- classification path -------------------------------------------------
 
@@ -226,17 +223,13 @@ class IngestServer:
     def process_clip(self, session: _DeviceSession, clip_pcm: np.ndarray) -> None:
         start = session.stream_position
         session.stream_position += len(clip_pcm)
-        index = session.clip_index
-        session.clip_index += 1
+        index = start // len(clip_pcm)
         try:
             label, p_infested = self.classify_pcm(clip_pcm, session.sample_rate)
         except Exception:
             self.stats.bump("classify_errors")
             log.exception("classification failed for device %s clip %d", session.device_id, index)
             return
-        if self.archive_dir:
-            clip = AudioClip(pcm16_to_float(clip_pcm), session.sample_rate)
-            save_wav(clip, self.archive_dir / f"device{session.device_id}_clip{index:04d}.wav")
         record = DetectionRecord(
             timestamp=datetime.now(timezone.utc).isoformat(),
             device_id=session.device_id,
@@ -246,15 +239,17 @@ class IngestServer:
             p_infested=p_infested,
             checkpoint_id=self._checkpoint_id,
         )
-        self._queue.put(record)
-
-    def _write_loop(self) -> None:
-        while True:
-            item = self._queue.get()
-            if item is _STOP:
-                return
-            append_records(self.store_path, [item])
-            self.stats.bump("records_written")
+        try:
+            if self.archive_dir:
+                clip = AudioClip(pcm16_to_float(clip_pcm), session.sample_rate)
+                save_wav(clip, self.archive_dir / f"device{session.device_id}_clip{index:04d}.wav")
+            with self._store_lock:
+                append_records(self.store_path, [record])
+        except OSError:
+            self.stats.bump("store_errors")
+            log.exception("storing failed for device %s clip %d", session.device_id, index)
+            return
+        self.stats.bump("records_written")
 
 
 def serve(port: int, checkpoint_path: str | Path, store_path: str | Path,

@@ -112,7 +112,6 @@ class TrainConfig:
     epochs: int = 50
     batch_size: int = 32
     seed: int = 0
-    shuffle: bool = True
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -163,7 +162,7 @@ def train(graph: ModelGraph, x_train: np.ndarray, y_train: np.ndarray,
     history = TrainHistory()
 
     for epoch in range(cfg.epochs):
-        order = rng.permutation(n) if cfg.shuffle else np.arange(n)
+        order = rng.permutation(n)
         loss_sum = 0.0
         correct = 0
         for batch_index, start in enumerate(range(0, n, cfg.batch_size)):

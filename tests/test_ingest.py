@@ -17,6 +17,7 @@ from woodwatch.ingest import (
     query_store,
     simulate_device,
 )
+from woodwatch.ingest import server as server_module
 from woodwatch.ingest.protocol import DeviceFrame, encode_frame
 from woodwatch.models import ModelKind, TrainConfig, build_model, model_inputs, train
 from woodwatch.nn import save_checkpoint
@@ -261,6 +262,37 @@ def test_stop_does_not_hang_on_an_idle_client(served_checkpoint, tmp_path):
         start = time.time()
         server.stop()
         assert time.time() - start < 10.0
+
+
+def test_stop_before_start_returns(served_checkpoint, tmp_path):
+    server = IngestServer(0, served_checkpoint, tmp_path / "store.jsonl")
+    stopper = threading.Thread(target=server.stop, daemon=True)  # a hang must fail, not stall
+    stopper.start()
+    stopper.join(timeout=5.0)
+    assert not stopper.is_alive()
+
+
+def test_store_failure_is_counted_not_fatal(running_server, monkeypatch):
+    server, store, _ = running_server
+    real_append = server_module.append_records
+    calls = []
+
+    def fail_first(path, records):
+        calls.append(records)
+        if len(calls) == 1:
+            raise OSError("disk full")
+        real_append(path, records)
+
+    monkeypatch.setattr(server_module, "append_records", fail_first)
+    clip = gen_clean_clip(SynthConfig(duration_s=10.0, snr_db=12.0), seed=503)  # two windows
+    sent = simulate_device("127.0.0.1", server.port, clip, device_id=7)
+    assert wait_for(lambda: server.stats.snapshot()["records_written"] == 1)
+    stats = server.stats.snapshot()
+    assert stats["store_errors"] == 1 and stats["records_written"] == 1
+    assert stats["frames_ok"] == sent and stats["protocol_errors"] == 0  # kept reading
+    records, corrupt = load_store(store)
+    assert corrupt == 0
+    assert [r.clip_start for r in records] == [80000]
 
 
 def test_simulator_realtime_pacing(running_server):
