@@ -13,6 +13,10 @@ Frame layout, all little-endian:
 
 The checksum is the ubiquitous reflected CRC-32 (polynomial 0x04C11DB7,
 init and final XOR 0xFFFFFFFF), i.e. exactly what zlib computes.
+
+A payload longer than ``MAX_PAYLOAD_BYTES`` is a protocol error, raised
+from the header alone, so a hostile length never makes a reader wait for
+or buffer gigabytes.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ FRAME_MAGIC = b"WBF1"
 _HEADER = struct.Struct("<4sQIII")
 HEADER_SIZE = _HEADER.size  # 24
 CRC_SIZE = 4
+MAX_PAYLOAD_BYTES = 1 << 20  # 1 MiB: ~33 s of 16 kHz mono PCM in one frame
 
 _U32_MAX = 2**32 - 1
 _U64_MAX = 2**64 - 1
@@ -71,13 +76,12 @@ def decode_frame(buf: bytes) -> DeviceFrame:
     magic, device_id, seq, sample_rate, payload_len = _HEADER.unpack_from(buf)
     if magic != FRAME_MAGIC:
         raise ProtocolError(f"bad frame magic {magic!r}")
+    _check_payload_len(payload_len)
     expected = HEADER_SIZE + payload_len + CRC_SIZE
     if len(buf) < expected:
         raise TruncationError(f"frame declares {expected} bytes, got {len(buf)}")
     if len(buf) > expected:
         raise ProtocolError(f"frame overrun: {len(buf)} bytes, expected {expected}")
-    if payload_len % 2 != 0:
-        raise ProtocolError(f"odd payload length {payload_len}")
     body = buf[: HEADER_SIZE + payload_len]
     (stated_crc,) = struct.unpack_from("<I", buf, HEADER_SIZE + payload_len)
     if crc32(body) != stated_crc:
@@ -104,19 +108,25 @@ def read_frame(stream) -> DeviceFrame | None:
     if magic != FRAME_MAGIC:
         raise ProtocolError(f"bad frame magic {magic!r}")
     (payload_len,) = struct.unpack_from("<I", head, 20)
-    if payload_len % 2 != 0:
-        raise ProtocolError(f"odd payload length {payload_len}")
+    _check_payload_len(payload_len)
     rest = _read_exact(stream, payload_len + CRC_SIZE)
     return decode_frame(head + rest)
 
 
+def _check_payload_len(payload_len: int) -> None:
+    if payload_len > MAX_PAYLOAD_BYTES:
+        raise ProtocolError(f"payload length {payload_len} exceeds {MAX_PAYLOAD_BYTES} bytes")
+    if payload_len % 2 != 0:
+        raise ProtocolError(f"odd payload length {payload_len}")
+
+
 def _read_exact(stream, n: int, allow_empty: bool = False) -> bytes | None:
-    chunks = b""
-    while len(chunks) < n:
-        piece = stream.read(n - len(chunks))
+    buf = bytearray()
+    while len(buf) < n:
+        piece = stream.read(n - len(buf))
         if not piece:
-            if not chunks and allow_empty:
+            if not buf and allow_empty:
                 return None
-            raise TruncationError(f"stream ended after {len(chunks)} of {n} bytes")
-        chunks += piece
-    return chunks
+            raise TruncationError(f"stream ended after {len(buf)} of {n} bytes")
+        buf += piece
+    return bytes(buf)

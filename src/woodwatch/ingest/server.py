@@ -2,7 +2,9 @@
 
 One session per device connection. Validated frames are appended to the
 device's sample buffer in sequence order; sequence gaps are zero-filled
-(sized by the revealing frame) and counted, duplicates are dropped. Every
+(sized by the revealing frame) and counted, duplicates are dropped. A gap
+whose fill would exceed one clip is a protocol error that ends the
+connection, so one frame cannot make the server allocate without bound. Every
 time a full clip's worth of samples accumulates, the clip is resampled to
 the canonical rate if needed, featurized, classified with the loaded
 checkpoint, and appended to the JSON-lines store by the connection's own
@@ -52,7 +54,10 @@ class _DeviceSession:
         return int(round(self.clip_seconds * self.sample_rate))
 
     def accept(self, frame: protocol.DeviceFrame, stats: "_Stats") -> list[np.ndarray]:
-        """Fold one validated frame in; returns any completed clips."""
+        """Fold one validated frame in; returns any completed clips.
+
+        Raises ProtocolError, before allocating, for a gap longer than a clip.
+        """
         if self.device_id is None:
             self.device_id = frame.device_id
             self.sample_rate = frame.sample_rate
@@ -64,9 +69,11 @@ class _DeviceSession:
             return []
         samples = np.frombuffer(frame.payload, dtype="<i2")
         if frame.seq > self.next_seq:
-            missing = frame.seq - self.next_seq
-            self.chunks.append(np.zeros(missing * len(samples), dtype="<i2"))
-            self.buffered += missing * len(samples)
+            fill = (frame.seq - self.next_seq) * len(samples)
+            if fill > self.clip_samples:
+                raise ProtocolError(f"sequence gap of {fill} samples exceeds one clip")
+            self.chunks.append(np.zeros(fill, dtype="<i2"))
+            self.buffered += fill
             stats.bump("sequence_gaps")
         self.chunks.append(samples)
         self.buffered += len(samples)
@@ -113,6 +120,10 @@ class _Handler(socketserver.StreamRequestHandler):
         while True:
             try:
                 frame = protocol.read_frame(self.rfile)
+                if frame is None:
+                    break
+                server.stats.bump("frames_ok")
+                clips = session.accept(frame, server.stats)
             except IntegrityError:
                 server.stats.bump("integrity_errors")
                 continue
@@ -120,11 +131,8 @@ class _Handler(socketserver.StreamRequestHandler):
                 break
             except ProtocolError:
                 server.stats.bump("protocol_errors")
-                break  # cannot resync after a framing violation
-            if frame is None:
-                break
-            server.stats.bump("frames_ok")
-            for clip_pcm in session.accept(frame, server.stats):
+                break  # cannot resync after a framing violation or an oversized gap
+            for clip_pcm in clips:
                 server.process_clip(session, clip_pcm)
 
 

@@ -24,15 +24,6 @@ def _glorot(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, fan_o
     return rng.uniform(-limit, limit, size=shape)
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
 class Layer:
     """Base class; parameter-free layers inherit the empty defaults."""
 
@@ -190,22 +181,29 @@ class MaxPool1D(Layer):
             raise ValueError(f"pool width must be >= 1, got {width}")
         self.width = width
 
+    def _slices(self, x, t_out):
+        """The k-th element of every window, k = 0 .. width-1, as strided views."""
+        return [x[:, k : t_out * self.width : self.width, :] for k in range(self.width)]
+
     def forward(self, x, train=False, rng=None):
-        batch, t, channels = x.shape
-        t_out = t // self.width
-        windows = x[:, : t_out * self.width, :].reshape(batch, t_out, self.width, channels)
+        t_out = x.shape[1] // self.width
+        slices = self._slices(x, t_out)
+        y = slices[0].copy()
+        for xk in slices[1:]:
+            np.maximum(y, xk, out=y)
         if train:
-            self._in_shape = x.shape
-            self._argmax = windows.argmax(axis=2)
-        return windows.max(axis=2)
+            self._x, self._y = x, y
+        return y
 
     def backward(self, dy):
-        batch, t, channels = self._in_shape
-        t_out = dy.shape[1]
-        dwin = np.zeros((batch, t_out, self.width, channels))
-        np.put_along_axis(dwin, self._argmax[:, :, None, :], dy[:, :, None, :], axis=2)
-        dx = np.zeros(self._in_shape)
-        dx[:, : t_out * self.width, :] = dwin.reshape(batch, t_out * self.width, channels)
+        x, y = self._x, self._y
+        dx = np.zeros(x.shape)
+        free = np.ones(y.shape, dtype=bool)  # windows whose max has not been routed yet
+        for xk, dxk in zip(self._slices(x, y.shape[1]), self._slices(dx, y.shape[1])):
+            hit = xk == y
+            hit &= free
+            dxk[...] = np.where(hit, dy, 0.0)
+            free ^= hit
         return dx
 
     def spec(self):
@@ -232,7 +230,17 @@ class LSTM(Layer):
 
     Gate order in the packed matrices is (input, forget, cell, output).
     Backward is full backpropagation through time.
+
+    The sigmoid gates use sigmoid(z) = (1 + tanh(z/2)) / 2. The forward
+    pass folds the 1/2 into copies of W, U and b (exact: a power of two),
+    so one tanh per step serves all four gates. Inputs are projected
+    ``_BLOCK`` steps at a time with one GEMM, time-major, into the gate
+    buffer the recurrence then updates in place. In train mode that
+    buffer spans all T steps and is the BPTT cache; in inference mode one
+    block-sized buffer is reused, so memory does not grow with T.
     """
+
+    _BLOCK = 32
 
     def __init__(self, in_dim: int, hidden: int, rng: np.random.Generator | None = None):
         self.in_dim, self.hidden = in_dim, hidden
@@ -248,6 +256,7 @@ class LSTM(Layer):
         self.dw = np.zeros_like(self.w)
         self.du = np.zeros_like(self.u)
         self.db = np.zeros_like(self.b)
+        self._cache = None
 
     def params(self):
         return [self.w, self.u, self.b]
@@ -255,57 +264,80 @@ class LSTM(Layer):
     def grads(self):
         return [self.dw, self.du, self.db]
 
-    @staticmethod
-    def step(x_t, h_prev, c_prev, w, u, b, hidden: int):
-        """One cell update; returns the new state plus gate values for BPTT."""
-        z = x_t @ w + h_prev @ u + b
-        i = _sigmoid(z[:, :hidden])
-        f = _sigmoid(z[:, hidden : 2 * hidden])
-        g = np.tanh(z[:, 2 * hidden : 3 * hidden])
-        o = _sigmoid(z[:, 3 * hidden :])
-        c = f * c_prev + i * g
-        h = o * np.tanh(c)
-        return h, c, (i, f, g, o)
+    def _gate_views(self, a):
+        hd = self.hidden
+        return a[:, :hd], a[:, hd : 2 * hd], a[:, 2 * hd : 3 * hd], a[:, 3 * hd :]
 
     def forward(self, x, train=False, rng=None):
         if x.ndim != 3 or x.shape[2] != self.in_dim:
             raise ValueError(f"lstm expects [batch, T, {self.in_dim}], got {x.shape}")
         batch, t, _ = x.shape
-        h = np.zeros((batch, self.hidden))
-        c = np.zeros((batch, self.hidden))
-        cache = [] if train else None
-        for step in range(t):
-            h_prev, c_prev = h, c
-            h, c, gates = self.step(x[:, step, :], h_prev, c_prev, self.w, self.u, self.b, self.hidden)
-            if train:
-                cache.append((h_prev, c_prev, c, gates))
+        hd, h4 = self.hidden, 4 * self.hidden
+        scale = np.full(h4, 0.5)
+        scale[2 * hd : 3 * hd] = 1.0  # the cell candidate g is a plain tanh
+        ws, us, bs = self.w * scale, self.u * scale, self.b * scale
+        xs = np.swapaxes(x, 0, 1)
         if train:
-            self._x, self._cache = x, cache
+            gates = np.empty((t, batch, h4))
+            cs = np.zeros((t + 1, batch, hd))
+            hs = np.zeros((t + 1, batch, hd))
+        else:
+            block = np.empty((min(t, self._BLOCK), batch, h4))
+            c = np.zeros((batch, hd))  # updated in place, step after step
+            h = np.zeros((batch, hd))
+        ig = np.empty((batch, hd))
+        for t0 in range(0, t, self._BLOCK):
+            t1 = min(t0 + self._BLOCK, t)
+            buf = gates[t0:t1] if train else block[: t1 - t0]
+            np.matmul(xs[t0:t1].reshape(-1, self.in_dim), ws, out=buf.reshape(-1, h4))
+            buf += bs
+            for step in range(t0, t1):
+                if train:
+                    h_prev, c_prev, h, c = hs[step], cs[step], hs[step + 1], cs[step + 1]
+                else:
+                    h_prev, c_prev = h, c
+                a = buf[step - t0]
+                a += h_prev @ us
+                np.tanh(a, out=a)
+                i, f, g, o = self._gate_views(a)
+                for sig in (a[:, : 2 * hd], o):
+                    sig += 1.0
+                    sig *= 0.5
+                np.multiply(f, c_prev, out=c)
+                np.multiply(i, g, out=ig)
+                c += ig
+                np.tanh(c, out=h)
+                h *= o
+        if train:
+            self._cache = (x, gates, cs, hs)
+            return hs[t].copy()
         return h
 
     def backward(self, dh_last):
-        batch, t, _ = self._x.shape
-        dx = np.zeros_like(self._x)
+        if self._cache is None:
+            raise RuntimeError("LSTM.backward needs a train-mode forward since the last backward")
+        x, dz, cs, hs = self._cache  # the gate buffer becomes dz, step by step
+        self._cache = None
+        t, batch, h4 = dz.shape
         dh = dh_last
         dc = np.zeros((batch, self.hidden))
         for step in range(t - 1, -1, -1):
-            h_prev, c_prev, c, (i, f, g, o) = self._cache[step]
-            tanh_c = np.tanh(c)
+            i, f, g, o = self._gate_views(dz[step])
+            tanh_c = np.tanh(cs[step + 1])
             do = dh * tanh_c
             dc = dc + dh * o * (1.0 - tanh_c**2)
             di = dc * g
-            df = dc * c_prev
+            df = dc * cs[step]
             dg = dc * i
             dc = dc * f
-            dz = np.concatenate(
-                [di * i * (1 - i), df * f * (1 - f), dg * (1 - g**2), do * o * (1 - o)], axis=1
-            )
-            self.dw += self._x[:, step, :].T @ dz
-            self.du += h_prev.T @ dz
-            self.db += dz.sum(axis=0)
-            dx[:, step, :] = dz @ self.w.T
-            dh = dz @ self.u.T
-        return dx
+            np.concatenate([di * i * (1 - i), df * f * (1 - f), dg * (1 - g**2), do * o * (1 - o)],
+                           axis=1, out=dz[step])
+            dh = dz[step] @ self.u.T
+        flat_dz = dz.reshape(-1, h4)
+        self.dw += np.swapaxes(x, 0, 1).reshape(-1, self.in_dim).T @ flat_dz
+        self.du += hs[:t].reshape(-1, self.hidden).T @ flat_dz
+        self.db += flat_dz.sum(axis=0)
+        return np.swapaxes((flat_dz @ self.w.T).reshape(t, batch, self.in_dim), 0, 1)
 
     def spec(self):
         return {"kind": "lstm", "in": self.in_dim, "hidden": self.hidden}

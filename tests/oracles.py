@@ -117,3 +117,71 @@ def adam_scalar_trajectory(theta0: float, steps: int, lr: float = 1e-3,
         theta -= lr * m_hat / (math.sqrt(v_hat) + eps)
         out.append(theta)
     return out
+
+
+def _logistic(z: np.ndarray) -> np.ndarray:
+    return 1.0 / (1.0 + np.exp(-z))
+
+
+def lstm_reference(x: np.ndarray, w: np.ndarray, u: np.ndarray, b: np.ndarray,
+                   dh_last: np.ndarray):
+    """Plain per-step LSTM and its backpropagation through time.
+
+    Gate order (input, forget, cell, output), logistic sigmoid gates, zero
+    initial state. Returns (h_last, dx, dw, du, db) for the loss gradient
+    dh_last on the last hidden state.
+    """
+    batch, steps, _ = x.shape
+    hidden = u.shape[0]
+    h = np.zeros((batch, hidden))
+    c = np.zeros((batch, hidden))
+    tape = []
+    for t in range(steps):
+        z = x[:, t, :] @ w + h @ u + b
+        i = _logistic(z[:, :hidden])
+        f = _logistic(z[:, hidden : 2 * hidden])
+        g = np.tanh(z[:, 2 * hidden : 3 * hidden])
+        o = _logistic(z[:, 3 * hidden :])
+        c_new = f * c + i * g
+        h_new = o * np.tanh(c_new)
+        tape.append((h, c, c_new, i, f, g, o))
+        h, c = h_new, c_new
+
+    dx = np.zeros_like(x)
+    dw, du, db = np.zeros_like(w), np.zeros_like(u), np.zeros_like(b)
+    dh = dh_last
+    dc = np.zeros((batch, hidden))
+    for t in reversed(range(steps)):
+        h_prev, c_prev, c_t, i, f, g, o = tape[t]
+        tanh_c = np.tanh(c_t)
+        dc = dc + dh * o * (1.0 - tanh_c * tanh_c)
+        dz = np.hstack([
+            dc * g * i * (1.0 - i),
+            dc * c_prev * f * (1.0 - f),
+            dc * i * (1.0 - g * g),
+            dh * tanh_c * o * (1.0 - o),
+        ])
+        dw += x[:, t, :].T @ dz
+        du += h_prev.T @ dz
+        db += dz.sum(axis=0)
+        dx[:, t, :] = dz @ w.T
+        dh = dz @ u.T
+        dc = dc * f
+    return h, dx, dw, du, db
+
+
+def maxpool_reference(x: np.ndarray, width: int, dy: np.ndarray):
+    """Window maximum over time and its gradient by an explicit argmax per
+    window (the first maximum wins); the trailing remainder is dropped."""
+    batch, steps, channels = x.shape
+    t_out = steps // width
+    y = np.zeros((batch, t_out, channels))
+    dx = np.zeros_like(x)
+    for bi in range(batch):
+        for j in range(t_out):
+            for ch in range(channels):
+                window = x[bi, j * width : (j + 1) * width, ch]
+                k = int(np.argmax(window))
+                y[bi, j, ch] = window[k]
+                dx[bi, j * width + k, ch] = dy[bi, j, ch]
+    return y, dx

@@ -222,6 +222,25 @@ def test_sequence_gap_zero_fills(running_server):
     assert len(query_store(store, device_id=8)) == 1
 
 
+def test_gap_longer_than_a_clip_ends_the_connection(running_server):
+    server, store, _ = running_server
+    payload = np.zeros(2500, dtype="<i2").tobytes()
+    with socket.create_connection(("127.0.0.1", server.port)) as conn:
+        for seq in (0, 2**32 - 1):  # the fill would be ~10^13 samples
+            conn.sendall(encode_frame(DeviceFrame(device_id=11, seq=seq, sample_rate=16000,
+                                                  payload=payload)))
+        conn.settimeout(10.0)
+        assert conn.recv(1) == b""  # the server closed its end
+    assert wait_for(lambda: server.stats.snapshot()["protocol_errors"] == 1)
+    stats = server.stats.snapshot()
+    assert stats["sequence_gaps"] == 0 and stats["records_written"] == 0
+    # another device is then served
+    simulate_device("127.0.0.1", server.port, gen_clean_clip(SynthConfig(snr_db=12.0), seed=504),
+                    device_id=12)
+    assert wait_for(lambda: server.stats.snapshot()["records_written"] == 1)
+    assert [r.device_id for r in load_store(store)[0]] == [12]
+
+
 def test_garbage_bytes_close_connection_without_crash(running_server):
     server, store, _ = running_server
     with socket.create_connection(("127.0.0.1", server.port)) as conn:

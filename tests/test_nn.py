@@ -112,6 +112,20 @@ def test_maxpool_gradient_routes_to_first_argmax():
     assert dx.reshape(-1).tolist() == [10.0, 0.0, 0.0, 20.0]
 
 
+@pytest.mark.parametrize("tied", [False, True])
+def test_maxpool_matches_argmax_oracle_bit_for_bit(tied):
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=(2, 11, 3))  # width 3: windows of 3 and a remainder of 2
+    if tied:
+        x = rng.integers(0, 2, size=x.shape).astype(float)  # most windows hold ties
+    dy = rng.normal(size=(2, 3, 3))
+    layer = MaxPool1D(3)
+    y = layer.forward(x, train=True)
+    ref_y, ref_dx = oracles.maxpool_reference(x, 3, dy)
+    assert np.array_equal(y, ref_y)
+    assert np.array_equal(layer.backward(dy), ref_dx)
+
+
 def test_global_avg_pool():
     x = RNG.normal(size=(2, 5, 3))
     layer = GlobalAvgPool1D()
@@ -128,13 +142,53 @@ def test_lstm_zero_weights_zero_state():
 
 
 def test_lstm_zero_weights_carries_half_cell():
-    layer = LSTM(2, 3)
+    # step 1 writes c_prev = 0.5 * tanh(x) through the cell-candidate columns of W;
+    # step 2 has zero input, U and b, so every sigmoid gate is 0.5 and g = 0
+    layer = LSTM(3, 3)
     layer.b[...] = 0.0
-    c_prev = np.array([[0.4, -0.2, 1.0]])
-    h, c, _ = LSTM.step(np.zeros((1, 2)), np.zeros((1, 3)), c_prev,
-                        layer.w, layer.u, layer.b, 3)
+    layer.w[:, 6:9] = np.eye(3)
+    x = np.array([[np.arctanh([0.8, -0.4, 0.9]), np.zeros(3)]])
+    h = layer.forward(x, train=True)
+    _, _, cs, _ = layer._cache  # cell states c_0 .. c_T
+    c_prev, c = cs[1], cs[2]
+    assert np.abs(c_prev - 0.5 * np.array([[0.8, -0.4, 0.9]])).max() < 1e-15
     assert np.abs(c - 0.5 * c_prev).max() < 1e-15
     assert np.abs(h - 0.5 * np.tanh(0.5 * c_prev)).max() < 1e-15
+
+
+@pytest.mark.parametrize("batch, steps", [(1, 1), (3, 33), (2, 64), (2, 70)])
+def test_lstm_matches_per_step_oracle(batch, steps):
+    # T = 33 and 70 cross the 32-step input-projection block; 64 fills two exactly
+    rng = np.random.default_rng(steps)
+    layer = LSTM(3, 4, rng=rng)
+    layer.b[...] = rng.normal(size=layer.b.shape)
+    x = rng.normal(size=(batch, steps, 3))
+    dh = rng.normal(size=(batch, 4))
+    h = layer.forward(x, train=True)
+    dx = layer.backward(dh)
+    ref_h, ref_dx, ref_dw, ref_du, ref_db = oracles.lstm_reference(x, layer.w, layer.u, layer.b, dh)
+    assert np.abs(h - ref_h).max() < 1e-12
+    assert np.abs(layer.forward(x) - ref_h).max() < 1e-12  # inference path
+    assert dx.shape == x.shape and np.abs(dx - ref_dx).max() < 1e-12
+    assert np.abs(layer.dw - ref_dw).max() < 1e-12
+    assert np.abs(layer.du - ref_du).max() < 1e-12
+    assert np.abs(layer.db - ref_db).max() < 1e-12
+
+
+def test_lstm_backward_needs_a_fresh_train_forward():
+    rng = np.random.default_rng(7)
+    layer = LSTM(2, 3, rng=rng)
+    x = rng.normal(size=(2, 5, 2))
+    dh = np.ones((2, 3))
+    with pytest.raises(RuntimeError):
+        layer.backward(dh)
+    layer.forward(x, train=True)
+    layer.backward(dh)
+    with pytest.raises(RuntimeError):  # the first backward consumed the cache
+        layer.backward(dh)
+    layer.forward(x)
+    with pytest.raises(RuntimeError):  # an inference forward keeps no cache
+        layer.backward(dh)
 
 
 def test_lstm_forget_bias_initialized_to_one():

@@ -1,9 +1,20 @@
+import io
+import struct
+
 import numpy as np
 import pytest
 
 import oracles
 from woodwatch.errors import IntegrityError, ProtocolError, TruncationError
-from woodwatch.ingest.protocol import DeviceFrame, crc32, decode_frame, encode_frame
+from woodwatch.ingest.protocol import (
+    HEADER_SIZE,
+    MAX_PAYLOAD_BYTES,
+    DeviceFrame,
+    crc32,
+    decode_frame,
+    encode_frame,
+    read_frame,
+)
 
 
 def random_frame(rng):
@@ -80,6 +91,36 @@ def test_overrun_rejected():
     blob = encode_frame(DeviceFrame(1, 1, 16000, b"\x00\x00"))
     with pytest.raises(ProtocolError):
         decode_frame(blob + b"\x00")
+
+
+def header_declaring(payload_len: int) -> bytes:
+    head = encode_frame(DeviceFrame(1, 1, 16000, b""))[:HEADER_SIZE]
+    return head[:20] + struct.pack("<I", payload_len)
+
+
+def test_oversized_payload_rejected_from_the_header():
+    head = header_declaring(2**32 - 2)  # even, so only the size cap can reject it
+    with pytest.raises(ProtocolError):
+        read_frame(io.BytesIO(head))  # not TruncationError: no payload read is attempted
+    with pytest.raises(ProtocolError):
+        decode_frame(head)
+    with pytest.raises(ProtocolError):
+        decode_frame(header_declaring(MAX_PAYLOAD_BYTES + 2))
+
+
+class TrickleStream(io.BytesIO):
+    """A stream that hands out at most 1000 bytes per read, like a socket."""
+
+    def read(self, n=-1):
+        return super().read(min(n, 1000) if n >= 0 else 1000)
+
+
+def test_largest_payload_streams_in_short_reads():
+    frame = DeviceFrame(1, 2, 16000, bytes(range(256)) * (MAX_PAYLOAD_BYTES // 256))
+    stream = TrickleStream(encode_frame(frame) * 2)
+    assert read_frame(stream) == frame
+    assert read_frame(stream) == frame
+    assert read_frame(stream) is None
 
 
 def test_crc_mismatch_rejected():
