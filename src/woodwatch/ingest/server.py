@@ -4,9 +4,11 @@ One session per device connection. Validated frames are appended to the
 device's sample buffer in sequence order; sequence gaps are zero-filled
 (sized by the revealing frame) and counted, duplicates are dropped. A gap
 whose fill would exceed one clip is a protocol error that ends the
-connection, so one frame cannot make the server allocate without bound. Every
-time a full clip's worth of samples accumulates, the clip is resampled to
-the canonical rate if needed, featurized, classified with the loaded
+connection, so one frame cannot make the server allocate without bound. So
+is a first frame whose sample rate lies outside 8-192 kHz: at an absurd
+rate a clip never fills, or one frame makes thousands of clips. Every time
+a full clip's worth of samples accumulates, the clip is resampled to the
+canonical rate if needed, featurized, classified with the loaded
 checkpoint, and appended to the JSON-lines store by the connection's own
 handler under one lock. Malformed frames and store failures are counted,
 never fatal.
@@ -35,6 +37,8 @@ from .store import DetectionRecord, append_records
 log = logging.getLogger(__name__)
 
 _DRAIN_S = 3.0  # how long stop() lets open connections end on their own
+MIN_SAMPLE_RATE = 8_000  # Hz, the range a device stream may declare
+MAX_SAMPLE_RATE = 192_000
 
 
 class _DeviceSession:
@@ -56,9 +60,13 @@ class _DeviceSession:
     def accept(self, frame: protocol.DeviceFrame, stats: "_Stats") -> list[np.ndarray]:
         """Fold one validated frame in; returns any completed clips.
 
-        Raises ProtocolError, before allocating, for a gap longer than a clip.
+        Raises ProtocolError, before allocating, for a first frame whose rate
+        is outside MIN_SAMPLE_RATE..MAX_SAMPLE_RATE or a gap longer than a clip.
         """
         if self.device_id is None:
+            if not MIN_SAMPLE_RATE <= frame.sample_rate <= MAX_SAMPLE_RATE:
+                raise ProtocolError(f"sample rate {frame.sample_rate} Hz outside "
+                                    f"{MIN_SAMPLE_RATE}-{MAX_SAMPLE_RATE} Hz")
             self.device_id = frame.device_id
             self.sample_rate = frame.sample_rate
         if frame.device_id != self.device_id or frame.sample_rate != self.sample_rate:
@@ -131,7 +139,7 @@ class _Handler(socketserver.StreamRequestHandler):
                 break
             except ProtocolError:
                 server.stats.bump("protocol_errors")
-                break  # cannot resync after a framing violation or an oversized gap
+                break  # cannot resync after a framing violation, a bad rate or an oversized gap
             for clip_pcm in clips:
                 server.process_clip(session, clip_pcm)
 

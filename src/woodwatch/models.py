@@ -173,7 +173,6 @@ def train(graph: ModelGraph, x_train: np.ndarray, y_train: np.ndarray,
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch}, batch {batch_index}"
                 )
-            graph.zero_grads()
             graph.backward(dlogits)
             try:
                 adam.step(graph.grads())

@@ -58,12 +58,8 @@ def _param_count(header: dict) -> int:
     return ModelGraph.from_specs(header["layers"]).param_count
 
 
-def load_checkpoint(path: str | Path, expected_kind: str | None = None) -> Checkpoint:
+def load_checkpoint(path: str | Path) -> Checkpoint:
     header, flat = read_container(path, _MAGIC, CheckpointError, _param_count)
-    if expected_kind is not None and header.get("kind") != expected_kind:
-        raise CheckpointError(
-            f"{path}: architecture mismatch, checkpoint is {header.get('kind')!r}, expected {expected_kind!r}"
-        )
     graph = ModelGraph.from_specs(header["layers"])
     offset = 0
     for param in graph.params():

@@ -30,7 +30,6 @@ def finite_diff_check(graph: ModelGraph, x: np.ndarray, onehot: np.ndarray,
     rng = np.random.default_rng(seed)
     logits = graph.forward(x, train=True, rng=rng)
     _, _, dlogits = softmax_cross_entropy(logits, onehot)
-    graph.zero_grads()
     graph.backward(dlogits)
     analytic = [g.copy() for g in graph.grads()]
 

@@ -1,8 +1,10 @@
 """Minimal layer engine with exact backpropagation, float64 throughout.
 
-Layers cache whatever the backward pass needs during a train-mode forward;
-inference-mode forwards write no state, so concurrent inference on a shared
-graph is safe. ``backward`` is only valid after a ``train=True`` forward.
+Every layer keeps train state by one rule. A ``train=True`` forward stores
+what backward needs in ``_cache``; inference-mode forwards write no state,
+so concurrent inference on a shared graph is safe. ``backward`` takes the
+cache (a second ``backward`` without a new train forward raises
+``RuntimeError``) and overwrites each gradient array, so nothing needs zeroing.
 
 A :class:`ModelGraph` chains layers and outputs logits. Training pairs it
 with the fused softmax cross-entropy below; inference turns logits into
@@ -27,15 +29,22 @@ def _glorot(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, fan_o
 class Layer:
     """Base class; parameter-free layers inherit the empty defaults."""
 
+    _cache = None  # what a train-mode forward left for backward
+
+    def _take_cache(self):
+        """Hand the train-mode cache to backward and drop the layer's reference."""
+        cache = self._cache
+        if cache is None:
+            raise RuntimeError(f"{type(self).__name__}.backward needs a train-mode forward "
+                               "since the last backward")
+        self._cache = None
+        return cache
+
     def params(self) -> list[np.ndarray]:
         return []
 
     def grads(self) -> list[np.ndarray]:
         return []
-
-    def zero_grads(self) -> None:
-        for g in self.grads():
-            g[...] = 0.0
 
     def forward(self, x: np.ndarray, train: bool = False, rng: np.random.Generator | None = None) -> np.ndarray:
         raise NotImplementedError
@@ -57,7 +66,6 @@ class Dense(Layer):
         self.b = np.zeros(out_dim)
         self.dw = np.zeros_like(self.w)
         self.db = np.zeros_like(self.b)
-        self._x = None
 
     def params(self):
         return [self.w, self.b]
@@ -69,12 +77,13 @@ class Dense(Layer):
         if x.ndim != 2 or x.shape[1] != self.in_dim:
             raise ValueError(f"dense expects [batch, {self.in_dim}], got {x.shape}")
         if train:
-            self._x = x
+            self._cache = x
         return x @ self.w + self.b
 
     def backward(self, dy):
-        self.dw += self._x.T @ dy
-        self.db += dy.sum(axis=0)
+        x = self._take_cache()
+        np.matmul(x.T, dy, out=self.dw)
+        np.sum(dy, axis=0, out=self.db)
         return dy @ self.w.T
 
     def spec(self):
@@ -84,11 +93,11 @@ class Dense(Layer):
 class ReLU(Layer):
     def forward(self, x, train=False, rng=None):
         if train:
-            self._mask = x > 0
+            self._cache = x > 0
         return np.maximum(x, 0.0)
 
     def backward(self, dy):
-        return dy * self._mask
+        return dy * self._take_cache()
 
     def spec(self):
         return {"kind": "relu"}
@@ -101,22 +110,21 @@ class Dropout(Layer):
         if not 0.0 <= rate < 1.0:
             raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
         self.rate = rate
-        self._mask = None
 
     def forward(self, x, train=False, rng=None):
         if not train:
             return x
         if self.rate == 0.0:
-            self._mask = None
+            self._cache = 1.0  # keeps everything and draws nothing: backward is the identity
             return x
         if rng is None:
             raise ValueError("training-mode dropout needs a generator")
         keep = rng.random(x.shape) >= self.rate
-        self._mask = keep / (1.0 - self.rate)
-        return x * self._mask
+        self._cache = keep / (1.0 - self.rate)
+        return x * self._cache
 
     def backward(self, dy):
-        return dy if self._mask is None else dy * self._mask
+        return dy * self._take_cache()
 
     def spec(self):
         return {"kind": "dropout", "rate": self.rate}
@@ -154,18 +162,19 @@ class Conv1D(Layer):
         for dt in range(self.kernel):
             y += padded[:, dt : dt + t, :] @ self.k[dt]
         if train:
-            self._xp, self._t = padded, t
+            self._cache = padded
         return y
 
     def backward(self, dy):
-        batch, t = dy.shape[0], self._t
-        dxp = np.zeros_like(self._xp)
+        padded = self._take_cache()
+        batch, t = dy.shape[:2]
+        dxp = np.zeros_like(padded)
         flat_dy = dy.reshape(batch * t, self.out_channels)
         for dt in range(self.kernel):
             dxp[:, dt : dt + t, :] += dy @ self.k[dt].T
-            slab = self._xp[:, dt : dt + t, :].reshape(batch * t, self.in_channels)
-            self.dk[dt] += slab.T @ flat_dy
-        self.db += dy.sum(axis=(0, 1))
+            slab = padded[:, dt : dt + t, :].reshape(batch * t, self.in_channels)
+            np.matmul(slab.T, flat_dy, out=self.dk[dt])
+        np.sum(dy, axis=(0, 1), out=self.db)
         pad = (self.kernel - 1) // 2
         return dxp[:, pad : pad + t, :]
 
@@ -192,11 +201,11 @@ class MaxPool1D(Layer):
         for xk in slices[1:]:
             np.maximum(y, xk, out=y)
         if train:
-            self._x, self._y = x, y
+            self._cache = (x, y)
         return y
 
     def backward(self, dy):
-        x, y = self._x, self._y
+        x, y = self._take_cache()
         dx = np.zeros(x.shape)
         free = np.ones(y.shape, dtype=bool)  # windows whose max has not been routed yet
         for xk, dxk in zip(self._slices(x, y.shape[1]), self._slices(dx, y.shape[1])):
@@ -215,11 +224,12 @@ class GlobalAvgPool1D(Layer):
 
     def forward(self, x, train=False, rng=None):
         if train:
-            self._t = x.shape[1]
+            self._cache = x.shape[1]
         return x.mean(axis=1)
 
     def backward(self, dy):
-        return np.repeat(dy[:, None, :], self._t, axis=1) / self._t
+        t = self._take_cache()
+        return np.repeat(dy[:, None, :], t, axis=1) / t
 
     def spec(self):
         return {"kind": "globalavgpool1d"}
@@ -256,7 +266,6 @@ class LSTM(Layer):
         self.dw = np.zeros_like(self.w)
         self.du = np.zeros_like(self.u)
         self.db = np.zeros_like(self.b)
-        self._cache = None
 
     def params(self):
         return [self.w, self.u, self.b]
@@ -314,10 +323,7 @@ class LSTM(Layer):
         return h
 
     def backward(self, dh_last):
-        if self._cache is None:
-            raise RuntimeError("LSTM.backward needs a train-mode forward since the last backward")
-        x, dz, cs, hs = self._cache  # the gate buffer becomes dz, step by step
-        self._cache = None
+        x, dz, cs, hs = self._take_cache()  # the gate buffer becomes dz, step by step
         t, batch, h4 = dz.shape
         dh = dh_last
         dc = np.zeros((batch, self.hidden))
@@ -334,9 +340,9 @@ class LSTM(Layer):
                            axis=1, out=dz[step])
             dh = dz[step] @ self.u.T
         flat_dz = dz.reshape(-1, h4)
-        self.dw += np.swapaxes(x, 0, 1).reshape(-1, self.in_dim).T @ flat_dz
-        self.du += hs[:t].reshape(-1, self.hidden).T @ flat_dz
-        self.db += flat_dz.sum(axis=0)
+        np.matmul(np.swapaxes(x, 0, 1).reshape(-1, self.in_dim).T, flat_dz, out=self.dw)
+        np.matmul(hs[:t].reshape(-1, self.hidden).T, flat_dz, out=self.du)
+        np.sum(flat_dz, axis=0, out=self.db)
         return np.swapaxes((flat_dz @ self.w.T).reshape(t, batch, self.in_dim), 0, 1)
 
     def spec(self):
@@ -383,10 +389,6 @@ class ModelGraph:
 
     def grads(self) -> list[np.ndarray]:
         return [g for layer in self.layers for g in layer.grads()]
-
-    def zero_grads(self) -> None:
-        for layer in self.layers:
-            layer.zero_grads()
 
     @property
     def param_count(self) -> int:

@@ -241,6 +241,23 @@ def test_gap_longer_than_a_clip_ends_the_connection(running_server):
     assert [r.device_id for r in load_store(store)[0]] == [12]
 
 
+@pytest.mark.parametrize("rate", [1, 2**32 - 1])
+def test_sample_rate_outside_the_range_ends_the_connection(running_server, rate):
+    # at 1 Hz this frame alone would be two 5-sample clips; at 2**32-1 a clip never fills
+    server, store, _ = running_server
+    payload = np.zeros(10, dtype="<i2").tobytes()
+    with socket.create_connection(("127.0.0.1", server.port)) as conn:
+        conn.sendall(encode_frame(DeviceFrame(device_id=13, seq=0, sample_rate=rate, payload=payload)))
+        conn.settimeout(10.0)
+        assert conn.recv(1) == b""  # the server closed its end
+    assert wait_for(lambda: server.stats.snapshot()["protocol_errors"] == 1)
+    assert server.stats.snapshot()["records_written"] == 0
+    simulate_device("127.0.0.1", server.port, gen_clean_clip(SynthConfig(snr_db=12.0), seed=505),
+                    device_id=14)
+    assert wait_for(lambda: server.stats.snapshot()["records_written"] == 1)
+    assert [r.device_id for r in load_store(store)[0]] == [14]
+
+
 def test_garbage_bytes_close_connection_without_crash(running_server):
     server, store, _ = running_server
     with socket.create_connection(("127.0.0.1", server.port)) as conn:

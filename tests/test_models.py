@@ -81,6 +81,16 @@ def test_train_is_bit_deterministic(tiny_features):
         assert np.array_equal(pa, pb)
 
 
+def test_train_leaves_no_layer_cache(tiny_features):
+    idx = np.arange(len(tiny_features))
+    for kind in ModelKind:
+        x, _ = model_inputs(kind, tiny_features, idx)
+        graph = build_model(kind, seed=8, dims=TOY_DIMS)
+        train(graph, x, tiny_features.labels, x, tiny_features.labels,
+              TrainConfig(epochs=1, batch_size=4, seed=8))
+        assert all(layer._cache is None for layer in graph.layers), kind
+
+
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
 def test_train_aborts_on_divergence(tiny_features):
     idx = np.arange(len(tiny_features))
@@ -140,7 +150,7 @@ def test_checkpoint_save_load_predict_identical(tmp_path, tiny_features):
     path = tmp_path / "m.ckpt"
     save_checkpoint(path, graph, ModelKind.CNN_LSTM.value, seed=6,
                     feature_stats=stats.to_dict())
-    loaded = load_checkpoint(path, expected_kind="cnn_lstm")
+    loaded = load_checkpoint(path)
     after, _ = predict(loaded.graph, x)
     assert np.array_equal(before, after)
 
