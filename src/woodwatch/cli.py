@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -31,12 +31,17 @@ from .errors import (
     WoodwatchError,
 )
 from .evaluation import (
+    FOLDS,
+    HOLDOUT_RATIO,
     comparative_report,
     confusion_from_predictions,
     crossval_run,
     metrics_from_confusion,
+    stratified_split,
 )
-from .ingest import query_store, serve, simulate_device
+from .ingest import IngestServer, query_store, simulate_device
+from .ingest.server import DEFAULT_HOST
+from .ingest.simulator import FRAME_SAMPLES
 from .models import ModelKind, TrainConfig, build_model, load_model, model_inputs, predict, to_model_input, train
 from .nn import save_checkpoint
 
@@ -58,6 +63,7 @@ _DATA_ERRORS = (
     ValueError,
 )
 _RUNTIME_ERRORS = (TrainingDivergedError, ServerStartupError, TransportError, OSError)
+_SYNTH_FIELDS = [f for f in fields(synth.SynthConfig) if f.name != "seed"]  # --seed is shared
 
 
 class _Parser(argparse.ArgumentParser):
@@ -83,16 +89,7 @@ def _print_json(payload: dict) -> None:
 # subcommand implementations
 
 def _cmd_gen_synth(args) -> int:
-    cfg = synth.SynthConfig(
-        sample_rate=args.sample_rate,
-        duration_s=args.duration_s,
-        click_rate=args.click_rate,
-        band_low_hz=args.band_low_hz,
-        band_high_hz=args.band_high_hz,
-        click_decay_s=args.click_decay_s,
-        snr_db=args.snr_db,
-        seed=args.seed,
-    )
+    cfg = synth.SynthConfig(seed=args.seed, **{f.name: getattr(args, f.name) for f in _SYNTH_FIELDS})
     manifest = synth.gen_dataset(args.out, args.n, cfg)
     _print_json({"written": len(manifest["clips"]), "out": str(args.out)})
     return EXIT_OK
@@ -124,23 +121,25 @@ def _cmd_extract(args) -> int:
     return EXIT_OK
 
 
-def _require_labels(feature_set: features.FeatureSet) -> None:
+def _labeled_features(path) -> features.FeatureSet:
+    feature_set = features.load_features(path)
     if np.any(feature_set.labels < 0):
         raise InvalidDatasetError("feature dump contains unlabeled clips")
+    return feature_set
+
+
+def _train_config(args) -> TrainConfig:
+    return TrainConfig(epochs=args.epochs, batch_size=args.batch_size, seed=args.seed)
 
 
 def _cmd_train(args) -> int:
-    from .evaluation import stratified_split
-
-    feature_set = features.load_features(args.features)
-    _require_labels(feature_set)
+    feature_set = _labeled_features(args.features)
     kind = ModelKind(args.kind)
-    cfg = TrainConfig(epochs=args.epochs, batch_size=args.batch_size, seed=args.seed)
     train_idx, val_idx = stratified_split(feature_set.labels, ratio=args.val_ratio, seed=args.seed)
     inputs, stats = model_inputs(kind, feature_set, train_idx)
     graph = build_model(kind, seed=args.seed)
     history = train(graph, inputs[train_idx], feature_set.labels[train_idx],
-                    inputs[val_idx], feature_set.labels[val_idx], cfg)
+                    inputs[val_idx], feature_set.labels[val_idx], _train_config(args))
     save_checkpoint(args.out_checkpoint, graph, kind.value, args.seed,
                     feature_stats=stats.to_dict() if stats else None,
                     feature_config=feature_set.config.to_dict())
@@ -164,9 +163,11 @@ def _cmd_evaluate(args) -> int:
     else:
         if not args.features:
             raise ValueError("--checkpoint requires --features")
-        graph, kind, _, stats, _ = load_model(args.checkpoint)
-        feature_set = features.load_features(args.features)
-        _require_labels(feature_set)
+        graph, kind, feature_config, stats, _ = load_model(args.checkpoint)
+        feature_set = _labeled_features(args.features)
+        if feature_set.config != feature_config:
+            raise InvalidDatasetError(f"{args.features}: feature config {feature_set.config} differs "
+                                      f"from the checkpoint's {feature_config}")
         true_labels = feature_set.labels
         _, predicted = predict(graph, to_model_input(kind, feature_set.matrices, stats))
     confusion = confusion_from_predictions(true_labels, predicted)
@@ -182,10 +183,8 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_crossval(args) -> int:
-    feature_set = features.load_features(args.features)
-    _require_labels(feature_set)
-    cfg = TrainConfig(epochs=args.epochs, batch_size=args.batch_size, seed=args.seed)
-    report = crossval_run(ModelKind(args.kind), feature_set, k=args.k, seed=args.seed, cfg=cfg)
+    report = crossval_run(ModelKind(args.kind), _labeled_features(args.features), k=args.k,
+                          seed=args.seed, cfg=_train_config(args))
     if args.out:
         Path(args.out).write_text(json.dumps(report.to_dict()))
     _print_json(report.to_dict())
@@ -193,10 +192,8 @@ def _cmd_crossval(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    feature_set = features.load_features(args.features)
-    _require_labels(feature_set)
-    cfg = TrainConfig(epochs=args.epochs, batch_size=args.batch_size, seed=args.seed)
-    report = comparative_report(feature_set, seed=args.seed, cfg=cfg, ratio=args.test_ratio)
+    report = comparative_report(_labeled_features(args.features), seed=args.seed,
+                                cfg=_train_config(args), ratio=args.test_ratio)
     if args.out:
         Path(args.out).write_text(json.dumps(report.to_dict()))
     if args.out_table:
@@ -207,8 +204,8 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    serve(args.port, args.checkpoint, args.store, archive_dir=args.archive_dir,
-          clip_seconds=args.clip_seconds, host=args.host)
+    IngestServer(args.port, args.checkpoint, args.store, archive_dir=args.archive_dir,
+                 clip_seconds=args.clip_seconds, host=args.host).run()
     return EXIT_OK
 
 
@@ -250,28 +247,26 @@ def build_parser() -> _Parser:
         p.set_defaults(func=func)
         return p
 
+    def add_training(p):
+        p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+        p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+
     p = add("gen-synth", _cmd_gen_synth, "generate a labeled synthetic WAV dataset")
     p.add_argument("--out", required=True, help="output dataset directory")
     p.add_argument("--n", type=int, default=100, help="clips per class")
-    p.add_argument("--sample-rate", type=int, default=16000)
-    p.add_argument("--duration-s", type=float, default=5.0)
-    p.add_argument("--click-rate", type=float, default=8.0)
-    p.add_argument("--band-low-hz", type=float, default=3000.0)
-    p.add_argument("--band-high-hz", type=float, default=6000.0)
-    p.add_argument("--click-decay-s", type=float, default=0.005)
-    p.add_argument("--snr-db", type=float, default=10.0)
+    for f in _SYNTH_FIELDS:
+        p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=f.default)
 
     p = add("extract", _cmd_extract, "extract MFCC features from a WAV directory")
     p.add_argument("--dataset", required=True)
     p.add_argument("--out", required=True, help="binary feature dump path")
-    p.add_argument("--clip-seconds", type=float, default=5.0)
+    p.add_argument("--clip-seconds", type=float, default=audio.CANONICAL_SECONDS)
 
     p = add("train", _cmd_train, "train one model kind on a feature dump")
     p.add_argument("--features", required=True)
     p.add_argument("--kind", required=True, choices=[k.value for k in ModelKind])
-    p.add_argument("--epochs", type=int, default=50)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--val-ratio", type=float, default=0.2)
+    add_training(p)
+    p.add_argument("--val-ratio", type=float, default=HOLDOUT_RATIO)
     p.add_argument("--out-checkpoint", required=True)
     p.add_argument("--out-history", default=None,
                    help="history JSON path (default: <checkpoint>.history.json)")
@@ -287,36 +282,34 @@ def build_parser() -> _Parser:
     p = add("crossval", _cmd_crossval, "stratified k-fold cross-validation")
     p.add_argument("--features", required=True)
     p.add_argument("--kind", required=True, choices=[k.value for k in ModelKind])
-    p.add_argument("--k", type=int, default=5)
-    p.add_argument("--epochs", type=int, default=50)
-    p.add_argument("--batch-size", type=int, default=32)
+    p.add_argument("--k", type=int, default=FOLDS)
+    add_training(p)
     p.add_argument("--out", default=None)
 
     p = add("compare", _cmd_compare, "train all four kinds on one split and tabulate")
     p.add_argument("--features", required=True)
-    p.add_argument("--epochs", type=int, default=50)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--test-ratio", type=float, default=0.2)
+    add_training(p)
+    p.add_argument("--test-ratio", type=float, default=HOLDOUT_RATIO)
     p.add_argument("--out", default=None)
     p.add_argument("--out-table", default=None)
 
     p = add("serve", _cmd_serve, "run the ingestion server")
     p.add_argument("--port", type=int, default=7071)
-    p.add_argument("--host", default="127.0.0.1")
+    p.add_argument("--host", default=DEFAULT_HOST)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--store", required=True, help="JSON-lines detection store")
     p.add_argument("--archive-dir", default=None, help="optional WAV archive directory")
-    p.add_argument("--clip-seconds", type=float, default=5.0)
+    p.add_argument("--clip-seconds", type=float, default=audio.CANONICAL_SECONDS)
 
     p = add("simulate-device", _cmd_simulate_device, "stream audio to the server")
-    p.add_argument("--host", default="127.0.0.1")
+    p.add_argument("--host", default=DEFAULT_HOST)
     p.add_argument("--port", type=int, required=True)
     p.add_argument("--device-id", type=int, default=1)
     p.add_argument("--wav", default=None, help="stream this WAV file")
     p.add_argument("--synth", default=None, choices=label_names,
                    help="stream a synthetic clip instead of a file")
-    p.add_argument("--snr-db", type=float, default=10.0)
-    p.add_argument("--frame-samples", type=int, default=2500)
+    p.add_argument("--snr-db", type=float, default=synth.SynthConfig.snr_db)
+    p.add_argument("--frame-samples", type=int, default=FRAME_SAMPLES)
     p.add_argument("--realtime", action="store_true")
 
     p = add("report", _cmd_report, "query the detection store")

@@ -21,14 +21,15 @@ def write_container(path: str | Path, magic: bytes, header: dict, payload: np.nd
         fh.write(np.ascontiguousarray(payload, dtype="<f8").tobytes())
 
 
-def read_container(path: str | Path, magic: bytes, error: type[Exception],
+def read_container(data: bytes, path: str | Path, magic: bytes, error: type[Exception],
                    payload_size: Callable[[dict], int]) -> tuple[dict, np.ndarray]:
-    """The header and flat payload of a container file; any fault raises ``error``.
+    """The header and flat payload of a container file's bytes; any fault raises ``error``.
 
-    ``payload_size`` gives the number of float64 values the header calls
-    for, or raises ValueError for a header it does not accept.
+    ``path`` names the file in messages. ``payload_size`` gives the number
+    of float64 values the header calls for, or raises ValueError for a
+    header it does not accept.
     """
-    blob = bytearray(Path(path).read_bytes())
+    blob = bytearray(data)  # the payload array stays writable
     start = len(magic) + 4
     if len(blob) < start or blob[: len(magic)] != magic:
         raise error(f"{path}: not a {magic.decode()} file")

@@ -18,6 +18,9 @@ from .errors import InvalidDatasetError, WoodwatchError
 from .features import FeatureSet
 from .models import ModelKind, TrainConfig, build_model, model_inputs, predict, train
 
+HOLDOUT_RATIO = 0.2  # share of each class held out for testing or validation
+FOLDS = 5  # cross-validation folds
+
 
 @dataclass(frozen=True)
 class ConfusionMatrix:
@@ -82,7 +85,7 @@ def _class_indices(labels: np.ndarray) -> dict[int, np.ndarray]:
     return {int(c): np.flatnonzero(labels == c) for c in classes}
 
 
-def stratified_split(labels: np.ndarray, ratio: float = 0.2, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+def stratified_split(labels: np.ndarray, ratio: float = HOLDOUT_RATIO, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Per-class round-half-up test allocation (at least 1), seeded shuffle within class.
 
     Returns sorted (train_indices, test_indices); disjoint and exhaustive.
@@ -102,7 +105,7 @@ def stratified_split(labels: np.ndarray, ratio: float = 0.2, seed: int = 0) -> t
     return np.sort(np.concatenate(train_parts)), np.sort(np.concatenate(test_parts))
 
 
-def kfold_indices(labels: np.ndarray, k: int = 5, seed: int = 0) -> list[tuple[np.ndarray, np.ndarray]]:
+def kfold_indices(labels: np.ndarray, k: int = FOLDS, seed: int = 0) -> list[tuple[np.ndarray, np.ndarray]]:
     """Stratified k-fold: per class, seeded shuffle then contiguous chunks.
 
     Chunk sizes differ by at most one, so stratification is preserved within
@@ -169,7 +172,7 @@ def _fit_and_score(kind: ModelKind, features: FeatureSet, train_idx: np.ndarray,
     return metrics_from_confusion(confusion), confusion
 
 
-def crossval_run(kind: ModelKind, features: FeatureSet, k: int = 5, seed: int = 0,
+def crossval_run(kind: ModelKind, features: FeatureSet, k: int = FOLDS, seed: int = 0,
                  cfg: TrainConfig = TrainConfig()) -> CvReport:
     """Independent model per fold, seeded as seed + fold index. Population std."""
     folds = kfold_indices(features.labels, k=k, seed=seed)
@@ -221,7 +224,7 @@ class ComparativeReport:
 
 
 def comparative_report(features: FeatureSet, seed: int = 0, cfg: TrainConfig = TrainConfig(),
-                       ratio: float = 0.2) -> ComparativeReport:
+                       ratio: float = HOLDOUT_RATIO) -> ComparativeReport:
     """Train all four kinds on one shared stratified split and tabulate."""
     train_idx, test_idx = stratified_split(features.labels, ratio=ratio, seed=seed)
     rows: dict[str, MetricReport] = {}

@@ -291,7 +291,8 @@ def _dump_size(header: dict) -> int:
 
 
 def load_features(path: str | Path) -> FeatureSet:
-    header, values = read_container(path, _DUMP_MAGIC, InvalidDatasetError, _dump_size)
+    header, values = read_container(Path(path).read_bytes(), path, _DUMP_MAGIC, InvalidDatasetError,
+                                    _dump_size)
     labels = [-1 if name is None else int(ClipLabel.parse(name)) for name in header["labels"]]
     return FeatureSet(header["ids"], np.asarray(labels), values.reshape(header["shape"]),
                       FeatureConfig.from_dict(header["config"]))

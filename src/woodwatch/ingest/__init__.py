@@ -1,5 +1,5 @@
 from .protocol import DeviceFrame, crc32, decode_frame, encode_frame, read_frame
-from .server import IngestServer, serve
+from .server import IngestServer
 from .simulator import simulate_device
 from .store import DetectionRecord, append_records, load_store, query_store
 
@@ -14,6 +14,5 @@ __all__ = [
     "load_store",
     "query_store",
     "read_frame",
-    "serve",
     "simulate_device",
 ]

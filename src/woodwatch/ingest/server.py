@@ -10,8 +10,9 @@ rate a clip never fills, or one frame makes thousands of clips. Every time
 a full clip's worth of samples accumulates, the clip is resampled to the
 canonical rate if needed, featurized, classified with the loaded
 checkpoint, and appended to the JSON-lines store by the connection's own
-handler under one lock. Malformed frames and store failures are counted,
-never fatal.
+handler under one lock. Malformed frames, store failures and broken
+connections are counted, never fatal. A connection that sends nothing for
+IDLE_TIMEOUT_S is closed, so a silent client cannot hold a handler thread.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ..audio import AudioClip, CANONICAL_RATE, ClipLabel, pcm16_to_float, resample_linear, save_wav
+from ..audio import (CANONICAL_RATE, CANONICAL_SECONDS, AudioClip, ClipLabel, pcm16_to_float,
+                     resample_linear, save_wav)
 from ..errors import IntegrityError, ProtocolError, ServerStartupError, TruncationError
 from ..features import mfcc_frames
 from ..models import load_model, predict, to_model_input
@@ -39,6 +41,8 @@ log = logging.getLogger(__name__)
 _DRAIN_S = 3.0  # how long stop() lets open connections end on their own
 MIN_SAMPLE_RATE = 8_000  # Hz, the range a device stream may declare
 MAX_SAMPLE_RATE = 192_000
+DEFAULT_HOST = "127.0.0.1"
+IDLE_TIMEOUT_S = 30.0  # a connection silent this long is closed
 
 
 class _DeviceSession:
@@ -110,6 +114,7 @@ class _Stats:
             "records_written": 0,
             "classify_errors": 0,
             "store_errors": 0,
+            "connection_errors": 0,
         }
 
     def bump(self, key: str, by: int = 1) -> None:
@@ -122,6 +127,8 @@ class _Stats:
 
 
 class _Handler(socketserver.StreamRequestHandler):
+    timeout = IDLE_TIMEOUT_S  # setup() applies it to the socket
+
     def handle(self):
         server: IngestServer = self.server.owner
         session = _DeviceSession(server.clip_seconds)
@@ -140,6 +147,9 @@ class _Handler(socketserver.StreamRequestHandler):
             except ProtocolError:
                 server.stats.bump("protocol_errors")
                 break  # cannot resync after a framing violation, a bad rate or an oversized gap
+            except OSError:  # TimeoutError after IDLE_TIMEOUT_S of silence, or a reset
+                server.stats.bump("connection_errors")
+                break
             for clip_pcm in clips:
                 server.process_clip(session, clip_pcm)
 
@@ -166,8 +176,8 @@ class IngestServer:
     """Owns the socket, the classifier and the store."""
 
     def __init__(self, port: int, checkpoint_path: str | Path, store_path: str | Path,
-                 archive_dir: str | Path | None = None, clip_seconds: float = 5.0,
-                 host: str = "127.0.0.1"):
+                 archive_dir: str | Path | None = None, clip_seconds: float = CANONICAL_SECONDS,
+                 host: str = DEFAULT_HOST):
         self.clip_seconds = clip_seconds
         self.store_path = Path(store_path)
         self.archive_dir = Path(archive_dir) if archive_dir else None
@@ -202,6 +212,17 @@ class IngestServer:
         self._serve_thread = threading.Thread(target=self._tcp.serve_forever,
                                               name="ingest-accept", daemon=True)
         self._serve_thread.start()
+
+    def run(self) -> None:
+        """Serve until interrupted (Ctrl-C), then stop."""
+        try:
+            self.start()
+            log.info("ingest server listening on %s:%d", *self._tcp.server_address)
+            threading.Event().wait()
+        except KeyboardInterrupt:
+            pass
+        finally:
+            self.stop()
 
     def stop(self) -> None:
         """Stop accepting, end every connection, close the socket.
@@ -266,19 +287,3 @@ class IngestServer:
             log.exception("storing failed for device %s clip %d", session.device_id, index)
             return
         self.stats.bump("records_written")
-
-
-def serve(port: int, checkpoint_path: str | Path, store_path: str | Path,
-          archive_dir: str | Path | None = None, clip_seconds: float = 5.0,
-          host: str = "127.0.0.1") -> None:
-    """Blocking convenience wrapper: run until interrupted."""
-    server = IngestServer(port, checkpoint_path, store_path, archive_dir=archive_dir,
-                          clip_seconds=clip_seconds, host=host)
-    server.start()
-    log.info("ingest server listening on %s:%d", host, server.port)
-    try:
-        threading.Event().wait()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.stop()

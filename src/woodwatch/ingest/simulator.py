@@ -13,9 +13,11 @@ from ..audio import AudioClip, float_to_pcm16, read_wav_pcm16
 from ..errors import TransportError
 from .protocol import DeviceFrame, encode_frame
 
+FRAME_SAMPLES = 2500  # samples per frame a device sends
+
 
 def simulate_device(host: str, port: int, source: str | Path | AudioClip, device_id: int,
-                    frame_samples: int = 2500, realtime: bool = False) -> int:
+                    frame_samples: int = FRAME_SAMPLES, realtime: bool = False) -> int:
     """Stream the source audio as frames of ``frame_samples`` samples.
 
     The final frame may be shorter. Realtime mode paces transmission at the

@@ -59,7 +59,8 @@ def _param_count(header: dict) -> int:
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    header, flat = read_container(path, _MAGIC, CheckpointError, _param_count)
+    data = Path(path).read_bytes()  # parsed and digested: checkpoint_id names these bytes
+    header, flat = read_container(data, path, _MAGIC, CheckpointError, _param_count)
     graph = ModelGraph.from_specs(header["layers"])
     offset = 0
     for param in graph.params():
@@ -71,5 +72,5 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         seed=header["seed"],
         feature_stats=header.get("feature_stats"),
         feature_config=header.get("feature_config"),
-        digest=hashlib.sha256(Path(path).read_bytes()).hexdigest()[:12],
+        digest=hashlib.sha256(data).hexdigest()[:12],
     )

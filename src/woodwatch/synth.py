@@ -15,15 +15,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import AudioClip, ClipLabel, save_wav
+from .audio import CANONICAL_RATE, CANONICAL_SECONDS, AudioClip, ClipLabel, save_wav
 
 _PEAK_TARGET = 0.5
 
 
 @dataclass(frozen=True)
 class SynthConfig:
-    sample_rate: int = 16_000
-    duration_s: float = 5.0
+    sample_rate: int = CANONICAL_RATE
+    duration_s: float = CANONICAL_SECONDS
     click_rate: float = 8.0          # Poisson rate, clicks per second
     band_low_hz: float = 3000.0
     band_high_hz: float = 6000.0

@@ -185,3 +185,32 @@ def maxpool_reference(x: np.ndarray, width: int, dy: np.ndarray):
                 y[bi, j, ch] = window[k]
                 dx[bi, j * width + k, ch] = dy[bi, j, ch]
     return y, dx
+
+
+def conv1d_reference(x: np.ndarray, k: np.ndarray, b: np.ndarray, dy: np.ndarray):
+    """Same-length 1-D convolution over time and its gradients by explicit loops.
+
+    y[n, t, o] = b[o] + sum over taps d and input channels i of
+    x[n, t + d - pad, i] * k[d, i, o], with pad = (width - 1) / 2 and x zero
+    outside 0 .. T-1. Returns (y, dx, dk, db) for the loss gradient dy on y.
+    """
+    batch, steps, c_in = x.shape
+    width, _, c_out = k.shape
+    pad = (width - 1) // 2
+    y = np.zeros((batch, steps, c_out))
+    dx, dk, db = np.zeros_like(x), np.zeros_like(k), np.zeros_like(b)
+    for n in range(batch):
+        for t in range(steps):
+            for o in range(c_out):
+                acc = b[o]
+                db[o] += dy[n, t, o]
+                for d in range(width):
+                    s = t + d - pad
+                    if not 0 <= s < steps:
+                        continue
+                    for i in range(c_in):
+                        acc += x[n, s, i] * k[d, i, o]
+                        dx[n, s, i] += dy[n, t, o] * k[d, i, o]
+                        dk[d, i, o] += dy[n, t, o] * x[n, s, i]
+                y[n, t, o] = acc
+    return y, dx, dk, db

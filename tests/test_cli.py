@@ -1,13 +1,19 @@
 import json
 import time
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from woodwatch.cli import main
-from woodwatch.features import load_features
-from woodwatch.models import ModelKind, build_model
+from woodwatch.audio import CANONICAL_RATE, CANONICAL_SECONDS, load_wav
+from woodwatch.cli import build_parser, main
+from woodwatch.evaluation import FOLDS, HOLDOUT_RATIO
+from woodwatch.features import FeatureConfig, FeatureSet, load_features, mfcc_frames, save_features
+from woodwatch.ingest.server import DEFAULT_HOST
+from woodwatch.ingest.simulator import FRAME_SAMPLES
+from woodwatch.models import ModelKind, TrainConfig, build_model, model_inputs
 from woodwatch.nn import save_checkpoint
+from woodwatch.synth import SynthConfig
 
 
 def run_cli(capsys, *argv):
@@ -31,6 +37,36 @@ def test_help_lists_all_subcommands(capsys):
     for name in ["gen-synth", "extract", "train", "evaluate", "crossval",
                  "compare", "serve", "simulate-device", "report"]:
         assert name in out
+
+
+REQUIRED_FLAGS = {
+    "gen-synth": ["--out", "d"],
+    "extract": ["--dataset", "d", "--out", "f"],
+    "train": ["--features", "f", "--kind", "cnn", "--out-checkpoint", "c"],
+    "evaluate": [],
+    "crossval": ["--features", "f", "--kind", "cnn"],
+    "compare": ["--features", "f"],
+    "serve": ["--checkpoint", "c", "--store", "s"],
+    "simulate-device": ["--port", "1"],
+    "report": ["--store", "s"],
+}
+
+
+def test_every_default_is_the_librarys():
+    args = {cmd: vars(build_parser().parse_args([cmd, *flags])) for cmd, flags in REQUIRED_FLAGS.items()}
+    gen = args["gen-synth"]
+    assert SynthConfig(**{f.name: gen[f.name] for f in fields(SynthConfig)}) == SynthConfig()
+    assert (SynthConfig().sample_rate, SynthConfig().duration_s) == (CANONICAL_RATE, CANONICAL_SECONDS)
+    for cmd in ("train", "crossval", "compare"):
+        parsed = args[cmd]
+        assert TrainConfig(parsed["epochs"], parsed["batch_size"], parsed["seed"]) == TrainConfig()
+    assert args["extract"]["clip_seconds"] == args["serve"]["clip_seconds"] == CANONICAL_SECONDS
+    assert args["train"]["val_ratio"] == args["compare"]["test_ratio"] == HOLDOUT_RATIO
+    assert args["crossval"]["k"] == FOLDS
+    assert args["serve"]["host"] == args["simulate-device"]["host"] == DEFAULT_HOST
+    assert args["simulate-device"]["frame_samples"] == FRAME_SAMPLES
+    assert args["simulate-device"]["snr_db"] == SynthConfig().snr_db
+    assert {cmd: parsed["seed"] for cmd, parsed in args.items()} == dict.fromkeys(args, 0)
 
 
 def test_usage_error_exits_one(capsys):
@@ -174,6 +210,22 @@ def test_evaluate_sequence_checkpoint_without_stats_is_data_error(capsys, small_
     code, _, err = run_cli(capsys, "evaluate", "--checkpoint", str(ckpt), "--features", str(feats))
     assert code == 2
     assert "lacks feature standardization stats" in err
+
+
+def test_evaluate_rejects_a_dump_extracted_with_another_feature_config(capsys, small_pipeline, tmp_path):
+    root, feats = small_pipeline
+    dump = load_features(feats)
+    ckpt = tmp_path / "cnn.ckpt"
+    _, stats = model_inputs(ModelKind.CNN, dump, np.arange(len(dump)))
+    save_checkpoint(ckpt, build_model(ModelKind.CNN, seed=0), ModelKind.CNN.value, seed=0,
+                    feature_stats=stats.to_dict(), feature_config=dump.config.to_dict())
+    cfg = FeatureConfig(hop=256)
+    matrices = [mfcc_frames(load_wav(root / "dataset" / clip_id), cfg).values for clip_id in dump.ids]
+    other = tmp_path / "hop256.wwfd"
+    save_features(other, FeatureSet(dump.ids, dump.labels, np.stack(matrices), cfg))
+    code, _, err = run_cli(capsys, "evaluate", "--checkpoint", str(ckpt), "--features", str(other))
+    assert code == 2
+    assert "feature config" in err and "hop=256" in err
 
 
 def test_crossval_cli(capsys, small_pipeline, tmp_path):

@@ -1,5 +1,8 @@
 import json
+import os
+import signal
 import socket
+import struct
 import threading
 import time
 
@@ -18,7 +21,7 @@ from woodwatch.ingest import (
     simulate_device,
 )
 from woodwatch.ingest import server as server_module
-from woodwatch.ingest.protocol import DeviceFrame, encode_frame
+from woodwatch.ingest.protocol import HEADER_SIZE, DeviceFrame, encode_frame
 from woodwatch.models import ModelKind, TrainConfig, build_model, model_inputs, train
 from woodwatch.nn import save_checkpoint
 from woodwatch.synth import SynthConfig, gen_clean_clip, gen_infested_clip
@@ -258,6 +261,35 @@ def test_sample_rate_outside_the_range_ends_the_connection(running_server, rate)
     assert [r.device_id for r in load_store(store)[0]] == [14]
 
 
+def test_idle_connection_times_out_and_is_counted(running_server, monkeypatch):
+    server, store, _ = running_server
+    monkeypatch.setattr(server_module._Handler, "timeout", 0.2)
+    with socket.create_connection(("127.0.0.1", server.port)) as conn:
+        conn.settimeout(10.0)
+        assert conn.recv(1) == b""  # the handler returned and closed its end
+    assert server.stats.snapshot()["connection_errors"] == 1
+    simulate_device("127.0.0.1", server.port, gen_clean_clip(SynthConfig(snr_db=12.0), seed=506),
+                    device_id=15)
+    assert wait_for(lambda: server.stats.snapshot()["records_written"] == 1)
+    assert [r.device_id for r in load_store(store)[0]] == [15]
+
+
+def test_reset_mid_header_is_counted_without_a_traceback(running_server, capfd):
+    server, store, _ = running_server
+    frame = encode_frame(DeviceFrame(device_id=16, seq=0, sample_rate=16000, payload=b"\0\0"))
+    conn = socket.create_connection(("127.0.0.1", server.port))
+    conn.sendall(frame[: HEADER_SIZE // 2])
+    conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+    conn.close()  # linger 0: the close sends a reset, not a clean end of stream
+    assert wait_for(lambda: server.stats.snapshot()["connection_errors"] == 1)
+    simulate_device("127.0.0.1", server.port, gen_clean_clip(SynthConfig(snr_db=12.0), seed=507),
+                    device_id=17)
+    assert wait_for(lambda: server.stats.snapshot()["records_written"] == 1)
+    stats = server.stats.snapshot()
+    assert stats["protocol_errors"] == 0 and stats["connection_errors"] == 1
+    assert "Traceback" not in capfd.readouterr().err
+
+
 def test_garbage_bytes_close_connection_without_crash(running_server):
     server, store, _ = running_server
     with socket.create_connection(("127.0.0.1", server.port)) as conn:
@@ -306,6 +338,27 @@ def test_stop_before_start_returns(served_checkpoint, tmp_path):
     stopper.start()
     stopper.join(timeout=5.0)
     assert not stopper.is_alive()
+
+
+def test_run_serves_until_ctrl_c_then_stops(served_checkpoint, tmp_path):
+    server = IngestServer(0, served_checkpoint, tmp_path / "store.jsonl")
+
+    def stream_then_interrupt():
+        try:
+            simulate_device("127.0.0.1", server.port,
+                            gen_clean_clip(SynthConfig(snr_db=12.0), seed=508), device_id=18)
+        finally:  # run() is waiting by then: the record needs its accept loop
+            wait_for(lambda: server.stats.snapshot()["records_written"] == 1)
+            os.kill(os.getpid(), signal.SIGINT)
+
+    sender = threading.Thread(target=stream_then_interrupt, daemon=True)
+    sender.start()
+    server.run()
+    sender.join(timeout=5.0)
+    assert not sender.is_alive()
+    assert server.stats.snapshot()["records_written"] == 1
+    with pytest.raises(ConnectionRefusedError):  # stop() closed the listening socket
+        socket.create_connection(("127.0.0.1", server.port), timeout=5.0)
 
 
 def test_store_failure_is_counted_not_fatal(running_server, monkeypatch):

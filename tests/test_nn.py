@@ -1,3 +1,6 @@
+import builtins
+import hashlib
+import io
 import json
 import math
 import struct
@@ -91,6 +94,26 @@ def test_conv_matches_five_loop_oracle():
                         acc += xp[b, t + dt, ci] * layer.k[dt, ci, co]
                 expected[b, t, co] = acc
     assert np.abs(out - expected).max() < 1e-12
+
+
+@pytest.mark.parametrize("batch,steps,c_in,c_out,width", [
+    (2, 1, 3, 2, 5),  # T < width: every output reads padding on both sides
+    (2, 2, 3, 2, 5),
+    (3, 9, 4, 5, 3),
+    (2, 7, 3, 4, 1),
+])
+def test_conv_forward_and_backward_match_loop_oracle(batch, steps, c_in, c_out, width):
+    rng = np.random.default_rng(100 * steps + width)
+    layer = Conv1D(c_in, c_out, width, rng=rng)
+    layer.b[...] = rng.normal(size=c_out)
+    x = rng.normal(size=(batch, steps, c_in))
+    dy = rng.normal(size=(batch, steps, c_out))
+    y = layer.forward(x, train=True)
+    dx = layer.backward(dy)
+    expected = oracles.conv1d_reference(x, layer.k, layer.b, dy)
+    for got, ref in zip((y, dx, layer.dk, layer.db), expected):
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() < 1e-12
 
 
 def test_conv_rejects_even_kernel():
@@ -412,6 +435,25 @@ def test_checkpoint_roundtrip_bit_identical(tmp_path):
         assert np.array_equal(a, b)
     x = RNG.normal(size=(3, 6, 4))
     assert np.array_equal(graph.forward(x), loaded.graph.forward(x))
+
+
+def test_checkpoint_file_is_read_once_and_its_digest_names_those_bytes(tmp_path, monkeypatch):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, make_graph(seed=4), "cnn_lstm", seed=4)
+    real_open = io.open
+    opened = []
+
+    def counting_open(file, *args, **kwargs):
+        if str(file) == str(path):
+            opened.append(args[0] if args else kwargs.get("mode", "r"))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open", counting_open)  # what pathlib calls
+    monkeypatch.setattr(builtins, "open", counting_open)
+    loaded = load_checkpoint(path)
+    monkeypatch.undo()
+    assert opened == ["rb"]
+    assert loaded.digest == hashlib.sha256(path.read_bytes()).hexdigest()[:12]
 
 
 def test_checkpoint_rejects_garbage(tmp_path):
