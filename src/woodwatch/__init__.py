@@ -1,7 +1,7 @@
 """Acoustic wood-pest detection: features, classifiers, evaluation, ingestion."""
 
 from .audio import AudioClip, ClipLabel, load_wav, resample_linear, save_wav, segment_clip
-from .features import FeatureConfig, FeatureSet, MfccMatrix, mfcc_frames, mfcc_mean
+from .features import FeatureConfig, FeatureSet, MfccMatrix, mfcc_frames
 from .models import ModelKind, TrainConfig, build_model, predict, train
 from .synth import SynthConfig, gen_clean_clip, gen_dataset, gen_infested_clip
 
@@ -22,7 +22,6 @@ __all__ = [
     "gen_infested_clip",
     "load_wav",
     "mfcc_frames",
-    "mfcc_mean",
     "predict",
     "resample_linear",
     "save_wav",

@@ -54,7 +54,6 @@ class AudioClip:
 
     samples: np.ndarray
     sample_rate: int
-    source_id: str | None = None
 
     def __post_init__(self):
         if int(self.sample_rate) <= 0:
@@ -66,10 +65,6 @@ class AudioClip:
 
     def __len__(self) -> int:
         return len(self.samples)
-
-    @property
-    def duration_s(self) -> float:
-        return len(self.samples) / self.sample_rate
 
 
 def pcm16_to_float(pcm: np.ndarray) -> np.ndarray:
@@ -126,7 +121,7 @@ def read_wav_pcm16(path: str | Path) -> tuple[np.ndarray, int]:
 def load_wav(path: str | Path) -> AudioClip:
     """Load a 16-bit PCM WAV file as a mono AudioClip."""
     pcm, rate = read_wav_pcm16(path)
-    return AudioClip(pcm16_to_float(pcm), rate, source_id=str(path))
+    return AudioClip(pcm16_to_float(pcm), rate)
 
 
 def save_wav(clip: AudioClip, path: str | Path) -> None:
@@ -153,10 +148,10 @@ def resample_linear(clip: AudioClip, target_rate: int) -> AudioClip:
     n_in = len(clip)
     n_out = int(round(n_in * target_rate / clip.sample_rate))
     if n_in == 0 or n_out == 0:
-        return AudioClip(np.zeros(n_out), target_rate, source_id=clip.source_id)
+        return AudioClip(np.zeros(n_out), target_rate)
     positions = np.arange(n_out) * (clip.sample_rate / target_rate)
     out = np.interp(positions, np.arange(n_in), clip.samples)
-    return AudioClip(out, target_rate, source_id=clip.source_id)
+    return AudioClip(out, target_rate)
 
 
 def segment_clip(clip: AudioClip, length_s: float) -> list[AudioClip]:
@@ -164,11 +159,12 @@ def segment_clip(clip: AudioClip, length_s: float) -> list[AudioClip]:
 
     The final short remainder is zero-padded to full length. An empty clip
     yields a single all-zero segment. Every segment has exactly
-    round(length_s * sample_rate) samples.
+    round(length_s * sample_rate) samples; a length that rounds below one
+    sample raises ValueError.
     """
-    if length_s <= 0:
-        raise ValueError(f"length_s must be positive, got {length_s}")
     seg_len = int(round(length_s * clip.sample_rate))
+    if seg_len < 1:
+        raise ValueError(f"length_s {length_s} s is under one sample at {clip.sample_rate} Hz")
     n = len(clip)
     n_segments = max(1, -(-n // seg_len))  # ceil division, at least one
     segments = []
@@ -176,7 +172,5 @@ def segment_clip(clip: AudioClip, length_s: float) -> list[AudioClip]:
         chunk = clip.samples[i * seg_len : (i + 1) * seg_len]
         if len(chunk) < seg_len:
             chunk = np.concatenate([chunk, np.zeros(seg_len - len(chunk))])
-        suffix = f"#{i}" if n_segments > 1 else ""
-        source = f"{clip.source_id}{suffix}" if clip.source_id else None
-        segments.append(AudioClip(chunk, clip.sample_rate, source_id=source))
+        segments.append(AudioClip(chunk, clip.sample_rate))
     return segments

@@ -23,9 +23,6 @@ from .errors import (
     CheckpointError,
     InvalidDatasetError,
     ProtocolError,
-    ServerStartupError,
-    TrainingDivergedError,
-    TransportError,
     UnsupportedWavError,
     WavFormatError,
     WoodwatchError,
@@ -58,11 +55,9 @@ _DATA_ERRORS = (
     ProtocolError,
     FileNotFoundError,
     IsADirectoryError,
-    json.JSONDecodeError,
     KeyError,
     ValueError,
 )
-_RUNTIME_ERRORS = (TrainingDivergedError, ServerStartupError, TransportError, OSError)
 _SYNTH_FIELDS = [f for f in fields(synth.SynthConfig) if f.name != "seed"]  # --seed is shared
 
 
@@ -335,10 +330,7 @@ def main(argv: list[str] | None = None) -> int:
         # checked first: FileNotFoundError is an OSError but counts as bad data
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except _RUNTIME_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except WoodwatchError as exc:
+    except (OSError, WoodwatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

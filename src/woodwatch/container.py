@@ -7,6 +7,7 @@ little-endian float64 payload, whose size the header determines.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from pathlib import Path
 from typing import Callable
@@ -21,15 +22,22 @@ def write_container(path: str | Path, magic: bytes, header: dict, payload: np.nd
         fh.write(np.ascontiguousarray(payload, dtype="<f8").tobytes())
 
 
-def read_container(data: bytes, path: str | Path, magic: bytes, error: type[Exception],
+def read_file(path: str | Path) -> bytearray:
+    """A file's bytes, read straight into one writable buffer."""
+    with open(path, "rb") as fh:
+        blob = bytearray(os.fstat(fh.fileno()).st_size)
+        del blob[fh.readinto(blob):]
+    return blob
+
+
+def read_container(blob: bytearray, path: str | Path, magic: bytes, error: type[Exception],
                    payload_size: Callable[[dict], int]) -> tuple[dict, np.ndarray]:
     """The header and flat payload of a container file's bytes; any fault raises ``error``.
 
     ``path`` names the file in messages. ``payload_size`` gives the number
     of float64 values the header calls for, or raises ValueError for a
-    header it does not accept.
+    header it does not accept. The payload is a writable view of ``blob``.
     """
-    blob = bytearray(data)  # the payload array stays writable
     start = len(magic) + 4
     if len(blob) < start or blob[: len(magic)] != magic:
         raise error(f"{path}: not a {magic.decode()} file")

@@ -1,8 +1,9 @@
 """MFCC feature extraction.
 
-Turns an AudioClip into a T x 40 coefficient matrix (inputs for the
-sequence models) and its 40-dim time mean (input for the dense baseline),
-and saves batches of matrices as binary feature dumps.
+Turns an AudioClip into a T x 40 coefficient matrix, the input of every
+classifier (the dense baseline takes its time mean in
+``models.to_model_input``), and saves batches of matrices as binary
+feature dumps.
 
 The chain per frame: reflect-padded centered framing with a periodic Hann
 window, one-sided power spectrum, Slaney-scale triangular mel filterbank
@@ -23,7 +24,7 @@ import numpy as np
 import scipy.fft
 
 from .audio import AudioClip, ClipLabel
-from .container import read_container, write_container
+from .container import read_container, read_file, write_container
 from .errors import InvalidDatasetError
 
 _MEL_BREAK_HZ = 1000.0
@@ -65,26 +66,17 @@ class FeatureConfig:
 
 @dataclass(frozen=True)
 class MfccMatrix:
-    """Frame-wise coefficients, shape [T, n_mfcc], plus frame center times."""
+    """Frame-wise coefficients, shape [T, n_mfcc], all finite."""
 
     values: np.ndarray
-    frame_times: np.ndarray
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)
-        times = np.asarray(self.frame_times, dtype=np.float64)
         if values.ndim != 2:
             raise ValueError(f"values must be 2-D, got shape {values.shape}")
-        if len(times) != values.shape[0]:
-            raise ValueError("frame_times length must match frame count")
         if not np.all(np.isfinite(values)):
             raise ValueError("MFCC values must be finite")
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "frame_times", times)
-
-    @property
-    def n_frames(self) -> int:
-        return self.values.shape[0]
 
 
 @dataclass(frozen=True)
@@ -103,19 +95,15 @@ class StandardizeStats:
                    np.asarray(d["std"], dtype=np.float64))
 
 
+@functools.lru_cache(maxsize=8)
 def hann_window(n: int) -> np.ndarray:
-    """Periodic Hann window w[k] = 0.5 - 0.5*cos(2*pi*k/n)."""
+    """Periodic Hann window w[k] = 0.5 - 0.5*cos(2*pi*k/n), read-only."""
     if n < 1:
         raise ValueError(f"window length must be >= 1, got {n}")
     k = np.arange(n)
-    return 0.5 - 0.5 * np.cos(2.0 * np.pi * k / n)
-
-
-@functools.lru_cache(maxsize=8)
-def _cached_window(n: int) -> np.ndarray:
-    w = hann_window(n)
-    w.setflags(write=False)
-    return w
+    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * k / n)
+    window.setflags(write=False)
+    return window
 
 
 def frame_signal(clip: AudioClip, cfg: FeatureConfig) -> np.ndarray:
@@ -131,9 +119,8 @@ def frame_signal(clip: AudioClip, cfg: FeatureConfig) -> np.ndarray:
         return np.zeros((1, n_fft))
     pad = n_fft // 2
     padded = np.pad(x, pad, mode="reflect")
-    n_frames = 1 + len(x) // hop
-    frames = np.lib.stride_tricks.sliding_window_view(padded, n_fft)[::hop][:n_frames]
-    return frames * _cached_window(n_fft)
+    frames = np.lib.stride_tricks.sliding_window_view(padded, n_fft)[::hop][: 1 + len(x) // hop]
+    return frames * hann_window(n_fft)
 
 
 def power_spectrum(frames: np.ndarray) -> np.ndarray:
@@ -210,16 +197,7 @@ def mfcc_frames(clip: AudioClip, cfg: FeatureConfig = FeatureConfig()) -> MfccMa
     filterbank = mel_filterbank(cfg, clip.sample_rate)
     mel_power = spectra @ filterbank.T
     mel_db = power_to_db(mel_power, cfg.log_floor)
-    coeffs = dct2_ortho(mel_db, cfg.n_mfcc)
-    times = np.arange(len(frames)) * (cfg.hop / clip.sample_rate)
-    return MfccMatrix(coeffs, times)
-
-
-def mfcc_mean(matrix: MfccMatrix) -> np.ndarray:
-    """Arithmetic mean across frames; the fixed-length per-clip feature vector."""
-    if matrix.n_frames < 1:
-        raise ValueError("cannot average an empty coefficient matrix")
-    return matrix.values.mean(axis=0)
+    return MfccMatrix(dct2_ortho(mel_db, cfg.n_mfcc))
 
 
 def fit_standardize(matrices) -> StandardizeStats:
@@ -291,8 +269,7 @@ def _dump_size(header: dict) -> int:
 
 
 def load_features(path: str | Path) -> FeatureSet:
-    header, values = read_container(Path(path).read_bytes(), path, _DUMP_MAGIC, InvalidDatasetError,
-                                    _dump_size)
+    header, values = read_container(read_file(path), path, _DUMP_MAGIC, InvalidDatasetError, _dump_size)
     labels = [-1 if name is None else int(ClipLabel.parse(name)) for name in header["labels"]]
     return FeatureSet(header["ids"], np.asarray(labels), values.reshape(header["shape"]),
                       FeatureConfig.from_dict(header["config"]))

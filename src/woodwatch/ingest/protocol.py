@@ -58,10 +58,6 @@ class DeviceFrame:
         if len(self.payload) % 2 != 0:
             raise ValueError("payload must hold whole 16-bit samples (even byte length)")
 
-    @property
-    def n_samples(self) -> int:
-        return len(self.payload) // 2
-
 
 def encode_frame(frame: DeviceFrame) -> bytes:
     head = _HEADER.pack(FRAME_MAGIC, frame.device_id, frame.seq, frame.sample_rate, len(frame.payload))

@@ -178,6 +178,9 @@ class IngestServer:
     def __init__(self, port: int, checkpoint_path: str | Path, store_path: str | Path,
                  archive_dir: str | Path | None = None, clip_seconds: float = CANONICAL_SECONDS,
                  host: str = DEFAULT_HOST):
+        if round(clip_seconds * MIN_SAMPLE_RATE) < 1:  # an empty clip would never stop filling
+            raise ValueError(f"clip_seconds {clip_seconds} s is under one sample at "
+                             f"{MIN_SAMPLE_RATE} Hz")
         self.clip_seconds = clip_seconds
         self.store_path = Path(store_path)
         self.archive_dir = Path(archive_dir) if archive_dir else None
@@ -261,21 +264,21 @@ class IngestServer:
         start = session.stream_position
         session.stream_position += len(clip_pcm)
         index = start // len(clip_pcm)
-        try:
+        try:  # a non-finite P(infested) fails in DetectionRecord: counted here too
             label, p_infested = self.classify_pcm(clip_pcm, session.sample_rate)
+            record = DetectionRecord(
+                timestamp=datetime.now(timezone.utc).isoformat(),
+                device_id=session.device_id,
+                clip_start=start,
+                clip_length=len(clip_pcm),
+                label=label,
+                p_infested=p_infested,
+                checkpoint_id=self._checkpoint_id,
+            )
         except Exception:
             self.stats.bump("classify_errors")
             log.exception("classification failed for device %s clip %d", session.device_id, index)
             return
-        record = DetectionRecord(
-            timestamp=datetime.now(timezone.utc).isoformat(),
-            device_id=session.device_id,
-            clip_start=start,
-            clip_length=len(clip_pcm),
-            label=label,
-            p_infested=p_infested,
-            checkpoint_id=self._checkpoint_id,
-        )
         try:
             if self.archive_dir:
                 clip = AudioClip(pcm16_to_float(clip_pcm), session.sample_rate)

@@ -63,7 +63,7 @@ def load_store(path: str | Path) -> tuple[list[DetectionRecord], int]:
             continue
         try:
             records.append(DetectionRecord.from_dict(json.loads(line)))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError):
+        except (KeyError, TypeError, ValueError):
             corrupt += 1
             log.warning("skipping corrupt store line %d in %s", line_no, path)
     return records, corrupt

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..container import read_container, write_container
+from ..container import read_container, read_file, write_container
 from ..errors import CheckpointError
 from .layers import ModelGraph
 
@@ -50,18 +50,23 @@ def save_checkpoint(path: str | Path, graph: ModelGraph, kind: str, seed: int,
     write_container(path, _MAGIC, header, payload)
 
 
-def _param_count(header: dict) -> int:
-    version = header.get("format_version")
-    if version != _FORMAT_VERSION:
-        raise ValueError(f"unsupported format version {version}, this build reads "
-                         f"version {_FORMAT_VERSION}; retrain the model")
-    return ModelGraph.from_specs(header["layers"]).param_count
-
-
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    data = Path(path).read_bytes()  # parsed and digested: checkpoint_id names these bytes
-    header, flat = read_container(data, path, _MAGIC, CheckpointError, _param_count)
-    graph = ModelGraph.from_specs(header["layers"])
+    """The checkpoint at ``path``; a bad file or a non-finite parameter raises CheckpointError."""
+    graph = None
+
+    def param_count(header: dict) -> int:
+        nonlocal graph
+        version = header.get("format_version")
+        if version != _FORMAT_VERSION:
+            raise ValueError(f"unsupported format version {version}, this build reads "
+                             f"version {_FORMAT_VERSION}; retrain the model")
+        graph = ModelGraph.from_specs(header["layers"])
+        return graph.param_count
+
+    data = read_file(path)  # parsed and digested: checkpoint_id names these bytes
+    header, flat = read_container(data, path, _MAGIC, CheckpointError, param_count)
+    if not np.isfinite(flat).all():
+        raise CheckpointError(f"{path}: a parameter is NaN or infinite")
     offset = 0
     for param in graph.params():
         param[...] = flat[offset : offset + param.size].reshape(param.shape)

@@ -120,13 +120,13 @@ def gen_clean_clip(cfg: SynthConfig, seed: int) -> AudioClip:
     """Pink noise only, peak-normalized to 0.5."""
     rng = np.random.default_rng(seed)
     samples = _peak_normalize(_pink_noise(rng, cfg.n_samples))
-    return AudioClip(samples, cfg.sample_rate, source_id=f"synth-clean-{seed}")
+    return AudioClip(samples, cfg.sample_rate)
 
 
 def gen_infested_clip(cfg: SynthConfig, seed: int) -> AudioClip:
     """Poisson click train over pink noise at the configured clip-level SNR."""
     mix, _, _, _ = _render_infested(cfg, seed)
-    return AudioClip(mix, cfg.sample_rate, source_id=f"synth-infested-{seed}")
+    return AudioClip(mix, cfg.sample_rate)
 
 
 def gen_dataset(out_dir: str | Path, n_per_class: int, cfg: SynthConfig) -> dict:

@@ -171,6 +171,14 @@ def test_extract_output_shape(small_pipeline):
     assert sorted(np.unique(feature_set.labels).tolist()) == [0, 1]
 
 
+def test_extract_rejects_a_clip_length_under_one_sample(capsys, small_pipeline, tmp_path):
+    root, _ = small_pipeline
+    code, _, err = run_cli(capsys, "extract", "--dataset", str(root / "dataset"),
+                           "--out", str(tmp_path / "f.bin"), "--clip-seconds", "0.00001")
+    assert code == 2
+    assert "under one sample" in err and "Traceback" not in err
+
+
 def test_train_smoke_under_a_minute(capsys, small_pipeline, tmp_path):
     root, feats = small_pipeline
     ckpt = tmp_path / "model.ckpt"

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from woodwatch.features import (
     mel_filterbank,
     mel_to_hz,
     mfcc_frames,
-    mfcc_mean,
     power_spectrum,
     power_to_db,
     save_features,
@@ -42,6 +42,8 @@ def test_hann_small_values():
     assert hann_window(4) == pytest.approx([0.0, 0.5, 1.0, 0.5], abs=1e-15)
     assert hann_window(1).tolist() == [0.0]
     assert hann_window(2048).sum() == pytest.approx(1024.0, abs=1e-9)
+    assert hann_window(2048) is hann_window(2048)  # cached, so shared and read-only
+    assert not hann_window(2048).flags.writeable
     with pytest.raises(ValueError):
         hann_window(0)
 
@@ -174,11 +176,9 @@ def test_mfcc_zero_clip_analytic_value():
     assert np.abs(matrix.values - expected).max() < 1e-9
 
 
-def test_mfcc_shape_and_times():
+def test_mfcc_shape():
     matrix = mfcc_frames(pink_clip(), CFG)
     assert matrix.values.shape == (157, 40)
-    assert matrix.frame_times[0] == 0.0
-    assert matrix.frame_times[1] == pytest.approx(512 / 16000)
 
 
 def test_mfcc_matches_brute_force_oracle_sine():
@@ -209,22 +209,15 @@ def test_gain_moves_only_coefficient_zero():
 def test_hop_shift_barely_moves_the_mean():
     clip = pink_clip(11)
     rolled = AudioClip(np.roll(clip.samples, CFG.hop), 16000)
-    mean_a = mfcc_mean(mfcc_frames(clip, CFG))
-    mean_b = mfcc_mean(mfcc_frames(rolled, CFG))
+    mean_a = mfcc_frames(clip, CFG).values.mean(axis=0)
+    mean_b = mfcc_frames(rolled, CFG).values.mean(axis=0)
     assert np.linalg.norm(mean_a - mean_b) / np.linalg.norm(mean_a) < 0.01
 
 
-# -- mean & standardization ---------------------------------------------------
-
-def test_mfcc_mean_basic():
-    single = MfccMatrix(np.array([[1.0, 2.0]]), np.array([0.0]))
-    assert mfcc_mean(single).tolist() == [1.0, 2.0]
-    two = MfccMatrix(np.array([[1.0], [3.0]]), np.array([0.0, 0.032]))
-    assert mfcc_mean(two).tolist() == [2.0]
-
+# -- standardization --------------------------------------------------------
 
 def test_standardize_constant_matrix_floors_std():
-    matrix = MfccMatrix(np.full((5, 3), 2.0), np.zeros(5))
+    matrix = MfccMatrix(np.full((5, 3), 2.0))
     stats = fit_standardize([matrix])
     assert np.array_equal(stats.std, np.ones(3))
     assert not apply_standardize(matrix, stats).any()
@@ -267,6 +260,21 @@ def test_feature_dump_roundtrip(tmp_path):
     assert np.array_equal(loaded.labels, feature_set.labels)
     assert np.array_equal(loaded.matrices, feature_set.matrices)
     assert loaded.config == CFG
+
+
+def test_feature_dump_is_loaded_into_one_buffer(tmp_path):
+    path = tmp_path / "features.bin"
+    matrices = np.random.default_rng(10).normal(size=(40, 157, 40))  # 2 MB
+    save_features(path, FeatureSet([str(i) for i in range(40)], np.zeros(40), matrices, CFG))
+    tracemalloc.start()
+    try:
+        loaded = load_features(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * path.stat().st_size  # the file's bytes are held once, not copied
+    assert loaded.matrices.flags.writeable
+    assert np.array_equal(loaded.matrices, matrices)
 
 
 def test_feature_dump_rejects_json_and_truncated_dumps(tmp_path):

@@ -225,6 +225,27 @@ def test_sequence_gap_zero_fills(running_server):
     assert len(query_store(store, device_id=8)) == 1
 
 
+def test_mid_stream_rate_or_device_change_is_dropped_and_zero_filled(running_server):
+    server, store, archive = running_server
+    pcm = float_to_pcm16(gen_clean_clip(SynthConfig(snr_db=12.0), seed=509).samples)
+    with socket.create_connection(("127.0.0.1", server.port)) as conn:
+        for seq, start in enumerate(range(0, len(pcm), 2500)):
+            device_id, rate = {5: (19, 48000), 9: (20, 16000)}.get(seq, (19, 16000))
+            conn.sendall(encode_frame(DeviceFrame(device_id=device_id, seq=seq, sample_rate=rate,
+                                                  payload=pcm[start : start + 2500].tobytes())))
+    assert wait_for(lambda: server.stats.snapshot()["records_written"] == 1)
+    stats = server.stats.snapshot()
+    assert stats["protocol_errors"] == 2 and stats["sequence_gaps"] == 2
+    assert [r.device_id for r in load_store(store)[0]] == [19]
+    # the two refused frames are zeros in the clip; every other sample is the source's
+    archived, rate = read_wav_pcm16(archive / "device19_clip0000.wav")
+    assert rate == 16000
+    expected = pcm.copy()
+    for seq in (5, 9):
+        expected[seq * 2500 : (seq + 1) * 2500] = 0
+    assert np.array_equal(archived, expected)
+
+
 def test_gap_longer_than_a_clip_ends_the_connection(running_server):
     server, store, _ = running_server
     payload = np.zeros(2500, dtype="<i2").tobytes()
@@ -384,6 +405,25 @@ def test_store_failure_is_counted_not_fatal(running_server, monkeypatch):
     assert [r.clip_start for r in records] == [80000]
 
 
+def test_unbuildable_record_is_a_classify_error(running_server, monkeypatch, capfd):
+    server, store, _ = running_server
+    real_classify = server.classify_pcm
+    calls = []
+
+    def nan_first(pcm, sample_rate):
+        calls.append(sample_rate)
+        return ("infested", float("nan")) if len(calls) == 1 else real_classify(pcm, sample_rate)
+
+    monkeypatch.setattr(server, "classify_pcm", nan_first)
+    clip = gen_clean_clip(SynthConfig(duration_s=10.0, snr_db=12.0), seed=510)  # two windows
+    sent = simulate_device("127.0.0.1", server.port, clip, device_id=21)
+    assert wait_for(lambda: server.stats.snapshot()["records_written"] == 1)
+    stats = server.stats.snapshot()
+    assert stats["classify_errors"] == 1 and stats["frames_ok"] == sent
+    assert [r.clip_start for r in load_store(store)[0]] == [80000]
+    assert "Traceback" not in capfd.readouterr().err
+
+
 def test_simulator_realtime_pacing(running_server):
     server, _, _ = running_server
     clip = AudioClip(np.zeros(8000), 16000)  # 0.5 s
@@ -397,6 +437,12 @@ def test_simulator_reports_partial_count_on_dead_server():
     with pytest.raises(TransportError) as info:
         simulate_device("127.0.0.1", 1, AudioClip(np.zeros(4000), 16000), device_id=1)
     assert info.value.frames_sent == 0
+
+
+@pytest.mark.parametrize("clip_seconds", [0, 1e-5, -1])
+def test_clip_length_under_one_sample_is_rejected_first(tmp_path, clip_seconds):
+    with pytest.raises(ValueError, match="under one sample"):  # before the checkpoint is read
+        IngestServer(0, tmp_path / "missing.ckpt", tmp_path / "s.jsonl", clip_seconds=clip_seconds)
 
 
 def test_server_startup_errors(served_checkpoint, tmp_path):

@@ -159,6 +159,7 @@ def test_model_inputs_contract(tiny_features):
     fit_idx = np.arange(8)
     mean_x, stats = model_inputs(ModelKind.DNN_MEAN, tiny_features, fit_idx)
     assert mean_x.shape == (len(tiny_features), 40)
+    assert np.array_equal(mean_x, tiny_features.matrices.mean(axis=1))  # the time mean
     assert stats is None
     seq_x, stats = model_inputs(ModelKind.LSTM, tiny_features, fit_idx)
     assert seq_x.shape == tiny_features.matrices.shape

@@ -456,6 +456,31 @@ def test_checkpoint_file_is_read_once_and_its_digest_names_those_bytes(tmp_path,
     assert loaded.digest == hashlib.sha256(path.read_bytes()).hexdigest()[:12]
 
 
+def test_checkpoint_builds_its_graph_once(tmp_path, monkeypatch):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, make_graph(seed=4), "cnn_lstm", seed=4)
+    real_from_specs = ModelGraph.from_specs.__func__
+    calls = []
+
+    def counting_from_specs(cls, specs):
+        calls.append(specs)
+        return real_from_specs(cls, specs)
+
+    monkeypatch.setattr(ModelGraph, "from_specs", classmethod(counting_from_specs))
+    load_checkpoint(path)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_checkpoint_rejects_non_finite_parameters(tmp_path, bad):
+    graph = make_graph(seed=5)
+    graph.layers[-1].b[0] = bad
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, graph, "cnn_lstm", seed=5)
+    with pytest.raises(CheckpointError, match="NaN or infinite"):
+        load_checkpoint(path)
+
+
 def test_checkpoint_rejects_garbage(tmp_path):
     path = tmp_path / "junk.ckpt"
     for blob in [

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from woodwatch.audio import load_wav
-from woodwatch.features import mfcc_frames, mfcc_mean
+from woodwatch.features import mfcc_frames
 from woodwatch.synth import (
     SynthConfig,
     _render_infested,
@@ -111,8 +111,8 @@ def test_manifest_reconstructs_clips(tmp_path):
 
 
 def test_classes_separate_in_mean_feature_space():
-    clean = np.array([mfcc_mean(mfcc_frames(gen_clean_clip(CFG, 1000 + s))) for s in range(8)])
-    infested = np.array([mfcc_mean(mfcc_frames(gen_infested_clip(CFG, 2000 + s))) for s in range(8)])
+    clean = np.array([mfcc_frames(gen_clean_clip(CFG, 1000 + s)).values.mean(axis=0) for s in range(8)])
+    infested = np.array([mfcc_frames(gen_infested_clip(CFG, 2000 + s)).values.mean(axis=0) for s in range(8)])
     center_c, center_i = clean.mean(axis=0), infested.mean(axis=0)
     between = np.linalg.norm(center_c - center_i)
     within = 0.5 * (
