@@ -9,6 +9,7 @@ mono out.
 from __future__ import annotations
 
 import enum
+import math
 import struct
 import wave
 from dataclasses import dataclass
@@ -154,17 +155,25 @@ def resample_linear(clip: AudioClip, target_rate: int) -> AudioClip:
     return AudioClip(out, target_rate)
 
 
+def segment_samples(length_s: float, sample_rate: int) -> int:
+    """round(length_s * sample_rate); ValueError for a length that is not
+    finite or rounds below one sample."""
+    if not math.isfinite(length_s):
+        raise ValueError(f"clip length {length_s} s is not finite")
+    n = int(round(length_s * sample_rate))
+    if n < 1:
+        raise ValueError(f"clip length {length_s} s is under one sample at {sample_rate} Hz")
+    return n
+
+
 def segment_clip(clip: AudioClip, length_s: float) -> list[AudioClip]:
     """Cut into consecutive non-overlapping windows of length_s seconds.
 
     The final short remainder is zero-padded to full length. An empty clip
     yields a single all-zero segment. Every segment has exactly
-    round(length_s * sample_rate) samples; a length that rounds below one
-    sample raises ValueError.
+    segment_samples(length_s, sample_rate) samples.
     """
-    seg_len = int(round(length_s * clip.sample_rate))
-    if seg_len < 1:
-        raise ValueError(f"length_s {length_s} s is under one sample at {clip.sample_rate} Hz")
+    seg_len = segment_samples(length_s, clip.sample_rate)
     n = len(clip)
     n_segments = max(1, -(-n // seg_len))  # ceil division, at least one
     segments = []

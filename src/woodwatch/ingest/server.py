@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from ..audio import (CANONICAL_RATE, CANONICAL_SECONDS, AudioClip, ClipLabel, pcm16_to_float,
-                     resample_linear, save_wav)
+                     resample_linear, save_wav, segment_samples)
 from ..errors import IntegrityError, ProtocolError, ServerStartupError, TruncationError
 from ..features import mfcc_frames
 from ..models import load_model, predict, to_model_input
@@ -178,9 +178,7 @@ class IngestServer:
     def __init__(self, port: int, checkpoint_path: str | Path, store_path: str | Path,
                  archive_dir: str | Path | None = None, clip_seconds: float = CANONICAL_SECONDS,
                  host: str = DEFAULT_HOST):
-        if round(clip_seconds * MIN_SAMPLE_RATE) < 1:  # an empty clip would never stop filling
-            raise ValueError(f"clip_seconds {clip_seconds} s is under one sample at "
-                             f"{MIN_SAMPLE_RATE} Hz")
+        segment_samples(clip_seconds, MIN_SAMPLE_RATE)  # an empty clip would never stop filling
         self.clip_seconds = clip_seconds
         self.store_path = Path(store_path)
         self.archive_dir = Path(archive_dir) if archive_dir else None

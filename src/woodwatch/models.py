@@ -211,6 +211,21 @@ def model_inputs(kind: ModelKind, features: FeatureSet,
     return to_model_input(kind, features.matrices, stats), stats
 
 
+def split_inputs(kind: ModelKind, features: FeatureSet, train_idx: np.ndarray,
+                 test_idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``model_inputs(kind, features, train_idx)[0]`` at ``train_idx`` and at
+    ``test_idx``, bit-equal, built from those rows alone: the gathered copies
+    are standardized in place, so no input for the whole set is held."""
+    x_train, x_test = features.matrices[train_idx], features.matrices[test_idx]
+    if ModelKind(kind) is ModelKind.DNN_MEAN:
+        return x_train.mean(axis=1), x_test.mean(axis=1)
+    stats = fit_standardize(x_train)
+    for x in (x_train, x_test):
+        x -= stats.mean
+        x /= stats.std
+    return x_train, x_test
+
+
 def load_model(path: str | Path) -> tuple[ModelGraph, ModelKind, FeatureConfig,
                                          StandardizeStats | None, str]:
     """A checkpoint's graph, kind, feature config, standardization stats and id."""

@@ -1,3 +1,10 @@
+import os
+
+# OpenBLAS reads this once, at load: one BLAS thread per call is the setting
+# the benchmark uses and the one under which comparative_report and
+# crossval_run spread their fits over the usable CPUs.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 import pytest
 

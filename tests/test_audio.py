@@ -1,3 +1,4 @@
+import math
 import struct
 import wave
 
@@ -177,6 +178,12 @@ def test_segment_empty_clip_gives_one_zero_segment():
     assert len(segments) == 1
     assert len(segments[0]) == 80000
     assert not segments[0].samples.any()
+
+
+@pytest.mark.parametrize("length_s", [math.inf, -math.inf, math.nan])
+def test_segment_rejects_a_length_that_is_not_finite(length_s):
+    with pytest.raises(ValueError, match="not finite"):
+        segment_clip(AudioClip(np.ones(16000), 16000), length_s)
 
 
 def test_float_to_pcm16_rounding_bounds():

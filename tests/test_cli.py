@@ -179,6 +179,15 @@ def test_extract_rejects_a_clip_length_under_one_sample(capsys, small_pipeline, 
     assert "under one sample" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("clip_seconds", ["inf", "nan"])
+def test_extract_rejects_a_clip_length_that_is_not_finite(capsys, small_pipeline, tmp_path, clip_seconds):
+    root, _ = small_pipeline
+    code, _, err = run_cli(capsys, "extract", "--dataset", str(root / "dataset"),
+                           "--out", str(tmp_path / "f.bin"), "--clip-seconds", clip_seconds)
+    assert code == 2
+    assert "not finite" in err and "Traceback" not in err
+
+
 def test_train_smoke_under_a_minute(capsys, small_pipeline, tmp_path):
     root, feats = small_pipeline
     ckpt = tmp_path / "model.ckpt"

@@ -1,7 +1,15 @@
+import functools
+import json
+import os
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
-from woodwatch.errors import InvalidDatasetError
+from woodwatch import evaluation
+from woodwatch.errors import InvalidDatasetError, TrainingDivergedError
 from woodwatch.evaluation import (
     ConfusionMatrix,
     comparative_report,
@@ -179,3 +187,128 @@ def test_comparative_report_shape(tiny_features):
     table = report.format_table()
     assert "CNN-LSTM" in table and "Accuracy" in table
     assert len(table.strip().splitlines()) == 6  # header + rule + 4 rows
+
+
+# -- fits spread over the usable CPUs --------------------------------------------
+
+def use_cpus(monkeypatch, n_cpus, **blas_env):
+    """n_cpus usable CPUs and only the given BLAS thread variables set."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n_cpus)))
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(name, raising=False)
+    for name, value in blas_env.items():
+        monkeypatch.setenv(name, value)
+
+
+@pytest.mark.parametrize("run", [
+    lambda f: comparative_report(f, seed=2, cfg=TrainConfig(epochs=2, batch_size=8)),
+    lambda f: crossval_run(ModelKind.CNN, f, k=4, seed=3, cfg=TrainConfig(epochs=2, batch_size=8)),
+], ids=["compare", "crossval"])
+def test_one_and_two_workers_give_byte_equal_reports(monkeypatch, tiny_features, run):
+    reports = []
+    for n_cpus in (1, 2):
+        use_cpus(monkeypatch, n_cpus, OPENBLAS_NUM_THREADS="1")
+        reports.append(json.dumps(run(tiny_features).to_dict()))
+    assert reports[0] == reports[1]
+
+
+def test_two_usable_cpus_run_two_jobs_at_once(monkeypatch):
+    use_cpus(monkeypatch, 2, OPENBLAS_NUM_THREADS="1")
+    barrier = threading.Barrier(2, timeout=10)  # broken unless two jobs meet at it
+
+    def job(index):
+        barrier.wait()
+        return index
+
+    assert evaluation._run_all([functools.partial(job, i) for i in range(4)]) == [0, 1, 2, 3]
+
+
+def test_every_job_runs_once_with_more_helpers_than_cores(monkeypatch):
+    use_cpus(monkeypatch, 4, OPENBLAS_NUM_THREADS="1")  # 3 helpers, whatever the host has
+    runs = [0] * 300
+
+    def job(index):
+        runs[index] += 1
+        return index
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        results = evaluation._run_all([functools.partial(job, i) for i in range(300)])
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == list(range(300)) and runs == [1] * 300
+
+
+@pytest.mark.parametrize("blas_env", [{}, {"GOTO_NUM_THREADS": "2"}, {"OMP_NUM_THREADS": "2"}],
+                         ids=["unset", "goto", "omp"])
+def test_blas_on_every_cpu_runs_the_folds_serially_on_the_calling_thread(monkeypatch, tiny_features,
+                                                                          blas_env):
+    use_cpus(monkeypatch, 2, **blas_env)
+    threads = []
+
+    def fake_train(graph, x_train, y_train, x_val, y_val, cfg):
+        threads.append(threading.current_thread())
+
+    monkeypatch.setattr(evaluation, "train", fake_train)
+    crossval_run(ModelKind.DNN_MEAN, tiny_features, k=4, cfg=TrainConfig(epochs=1))
+    assert threads == [threading.current_thread()] * 4
+
+
+@pytest.mark.parametrize("n_cpus", [1, 2])
+def test_a_failing_fold_gives_the_serial_error_and_no_later_fold_starts(monkeypatch, tiny_features,
+                                                                         n_cpus):
+    use_cpus(monkeypatch, n_cpus, OPENBLAS_NUM_THREADS="1")
+    started, raised = [], threading.Event()
+
+    def fake_train(graph, x_train, y_train, x_val, y_val, cfg):
+        fold = cfg.seed - 10
+        started.append(fold)
+        if fold == 1:
+            raised.set()
+            raise TrainingDivergedError("non-finite loss at epoch 0, batch 0")
+        if n_cpus == 2:  # fold 0 runs beside fold 1: end after its failure is recorded
+            assert raised.wait(timeout=10)
+            time.sleep(0.2)
+
+    monkeypatch.setattr(evaluation, "train", fake_train)
+    with pytest.raises(TrainingDivergedError, match=r"^fold 1: non-finite loss at epoch 0, batch 0$"):
+        crossval_run(ModelKind.DNN_MEAN, tiny_features, k=4, seed=10, cfg=TrainConfig(epochs=1))
+    assert sorted(started) == [0, 1]
+
+
+def test_the_lowest_failing_fold_is_raised(monkeypatch, tiny_features):
+    use_cpus(monkeypatch, 2, OPENBLAS_NUM_THREADS="1")
+    raised = threading.Event()
+
+    def fake_train(graph, x_train, y_train, x_val, y_val, cfg):
+        if cfg.seed == 1:
+            raised.set()
+            raise TrainingDivergedError("fold 1 failed first")
+        assert raised.wait(timeout=10)
+        raise TrainingDivergedError("fold 0 failed second")
+
+    monkeypatch.setattr(evaluation, "train", fake_train)
+    with pytest.raises(TrainingDivergedError, match="^fold 0: fold 0 failed second$"):
+        crossval_run(ModelKind.DNN_MEAN, tiny_features, k=4, cfg=TrainConfig(epochs=1))
+
+
+def test_ctrl_c_in_the_calling_thread_does_not_wait_for_a_helpers_job(monkeypatch):
+    use_cpus(monkeypatch, 2, OPENBLAS_NUM_THREADS="1")
+    caller = threading.current_thread()
+    both_started = threading.Barrier(2, timeout=10)
+    release, helper_done = threading.Event(), threading.Event()
+
+    def job():
+        both_started.wait()
+        if threading.current_thread() is caller:
+            raise KeyboardInterrupt
+        release.wait(timeout=10)
+        helper_done.set()
+
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            evaluation._run_all([job, job, job])
+        assert not helper_done.is_set()
+    finally:
+        release.set()

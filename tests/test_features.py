@@ -179,6 +179,8 @@ def test_mfcc_zero_clip_analytic_value():
 def test_mfcc_shape():
     matrix = mfcc_frames(pink_clip(), CFG)
     assert matrix.values.shape == (157, 40)
+    # its own compact buffer, not a view of all 128 DCT coefficients
+    assert matrix.values.base is None and matrix.values.flags.c_contiguous
 
 
 def test_mfcc_matches_brute_force_oracle_sine():
@@ -187,6 +189,14 @@ def test_mfcc_matches_brute_force_oracle_sine():
     produced = mfcc_frames(clip, CFG).values
     expected = oracles.mfcc_pipeline(clip.samples, 16000)
     assert np.abs(produced - expected).max() < 1e-6
+
+
+def test_mfcc_sparse_mel_product_matches_the_dense_filterbank():
+    t = np.arange(80000) / 16000
+    for clip in (pink_clip(3), AudioClip(0.5 * np.sin(2 * np.pi * 440 * t), 16000)):
+        mel_power = power_spectrum(frame_signal(clip, CFG)) @ mel_filterbank(CFG, 16000).T
+        dense = dct2_ortho(power_to_db(mel_power, CFG.log_floor), CFG.n_mfcc)
+        assert np.abs(mfcc_frames(clip, CFG).values - dense).max() <= 1e-12
 
 
 def test_mfcc_deterministic():

@@ -445,6 +445,12 @@ def test_clip_length_under_one_sample_is_rejected_first(tmp_path, clip_seconds):
         IngestServer(0, tmp_path / "missing.ckpt", tmp_path / "s.jsonl", clip_seconds=clip_seconds)
 
 
+@pytest.mark.parametrize("clip_seconds", [float("inf"), float("nan")])
+def test_clip_length_not_finite_is_rejected_first(tmp_path, clip_seconds):
+    with pytest.raises(ValueError, match="not finite"):  # before the checkpoint is read
+        IngestServer(0, tmp_path / "missing.ckpt", tmp_path / "s.jsonl", clip_seconds=clip_seconds)
+
+
 def test_server_startup_errors(served_checkpoint, tmp_path):
     blocker = socket.socket()
     blocker.bind(("127.0.0.1", 0))

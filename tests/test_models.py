@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from woodwatch.errors import TrainingDivergedError
+from woodwatch.evaluation import stratified_split
 from woodwatch.models import (
     GraphDims,
     ModelKind,
@@ -10,6 +11,7 @@ from woodwatch.models import (
     build_model,
     model_inputs,
     predict,
+    split_inputs,
     train,
 )
 from woodwatch.nn import finite_diff_check, load_checkpoint, save_checkpoint
@@ -167,3 +169,12 @@ def test_model_inputs_contract(tiny_features):
     # stats derive from the fit rows only
     frames = tiny_features.matrices[fit_idx].reshape(-1, 40)
     assert np.abs(stats.mean - frames.mean(axis=0)).max() < 1e-12
+
+
+@pytest.mark.parametrize("kind", list(ModelKind))
+def test_split_inputs_are_the_model_inputs_rows_bit_for_bit(tiny_features, kind):
+    train_idx, test_idx = stratified_split(tiny_features.labels, seed=4)
+    full, _ = model_inputs(kind, tiny_features, train_idx)
+    x_train, x_test = split_inputs(kind, tiny_features, train_idx, test_idx)
+    assert x_train.tobytes() == full[train_idx].tobytes()
+    assert x_test.tobytes() == full[test_idx].tobytes()
