@@ -230,10 +230,12 @@ def _run_all(jobs: list[Callable[[], object]]) -> list:
 def _fit_and_score(kind: ModelKind, inputs: tuple[np.ndarray, np.ndarray], labels: np.ndarray,
                    train_idx: np.ndarray, test_idx: np.ndarray, seed: int,
                    cfg: TrainConfig) -> tuple[MetricReport, ConfusionMatrix]:
-    """Fit one model on ``inputs`` = (train rows, test rows) and score it on the test rows."""
+    """Fit one model on ``inputs`` = (train rows, test rows) and score it on the test rows.
+
+    The fit runs no per-epoch validation: only the final predictions are read."""
     x_train, x_test = inputs
     graph = build_model(kind, seed=seed)
-    train(graph, x_train, labels[train_idx], x_test, labels[test_idx], replace(cfg, seed=seed))
+    train(graph, x_train, labels[train_idx], None, None, replace(cfg, seed=seed))
     _, predicted = predict(graph, x_test)
     confusion = confusion_from_predictions(labels[test_idx], predicted)
     return metrics_from_confusion(confusion), confusion

@@ -145,13 +145,17 @@ def _eval_pass(graph: ModelGraph, x: np.ndarray, y: np.ndarray) -> tuple[float, 
 
 
 def train(graph: ModelGraph, x_train: np.ndarray, y_train: np.ndarray,
-          x_val: np.ndarray, y_val: np.ndarray, cfg: TrainConfig = TrainConfig()) -> TrainHistory:
+          x_val: np.ndarray | None, y_val: np.ndarray | None,
+          cfg: TrainConfig = TrainConfig()) -> TrainHistory:
     """Train in place; returns the per-epoch history.
 
     One generator seeded with cfg.seed drives both the per-epoch shuffle
     and the dropout masks, so identical seeds give bit-identical parameters.
     Training loss/accuracy are running means over the epoch's batches;
-    validation is a full inference pass at each epoch end.
+    validation is a full inference pass at each epoch end. With ``x_val``
+    and ``y_val`` None there is no validation and the ``val_*`` lists stay
+    empty; the validation pass draws nothing from the generator, so the
+    parameters are the same either way.
     """
     n = len(x_train)
     if n == 0:
@@ -182,11 +186,12 @@ def train(graph: ModelGraph, x_train: np.ndarray, y_train: np.ndarray,
                 ) from exc
             loss_sum += loss * len(idx)
             correct += int((probs.argmax(axis=1) == y_train[idx]).sum())
-        val_loss, val_acc = _eval_pass(graph, x_val, y_val)
         history.train_loss.append(loss_sum / n)
         history.train_accuracy.append(correct / n)
-        history.val_loss.append(val_loss)
-        history.val_accuracy.append(val_acc)
+        if x_val is not None:
+            val_loss, val_acc = _eval_pass(graph, x_val, y_val)
+            history.val_loss.append(val_loss)
+            history.val_accuracy.append(val_acc)
     return history
 
 

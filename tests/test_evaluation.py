@@ -20,6 +20,7 @@ from woodwatch.evaluation import (
     stratified_split,
 )
 from woodwatch.models import ModelKind, TrainConfig
+from woodwatch.nn import ModelGraph
 
 
 def labels_of(n_clean, n_infested, seed=0):
@@ -187,6 +188,29 @@ def test_comparative_report_shape(tiny_features):
     table = report.format_table()
     assert "CNN-LSTM" in table and "Accuracy" in table
     assert len(table.strip().splitlines()) == 6  # header + rule + 4 rows
+
+
+def test_each_fit_runs_one_inference_pass_on_its_test_rows(monkeypatch, tiny_features):
+    passes = []  # (graph, rows) per inference forward
+    forward = ModelGraph.forward
+
+    def counting_forward(self, x, train=False, rng=None):
+        if not train:
+            passes.append((self, len(x)))
+        return forward(self, x, train=train, rng=rng)
+
+    monkeypatch.setattr(ModelGraph, "forward", counting_forward)
+    cfg = TrainConfig(epochs=3, batch_size=8)
+    comparative_report(tiny_features, seed=1, cfg=cfg)
+    _, test_idx = stratified_split(tiny_features.labels, seed=1)
+    assert len({id(graph) for graph, _ in passes}) == len(passes) == len(ModelKind)
+    assert [rows for _, rows in passes] == [len(test_idx)] * len(ModelKind)
+
+    passes.clear()
+    crossval_run(ModelKind.CNN, tiny_features, k=4, cfg=cfg)
+    test_sizes = [len(test) for _, test in kfold_indices(tiny_features.labels, k=4)]
+    assert len({id(graph) for graph, _ in passes}) == len(passes) == 4
+    assert sorted(rows for _, rows in passes) == sorted(test_sizes)
 
 
 # -- fits spread over the usable CPUs --------------------------------------------

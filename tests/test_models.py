@@ -93,6 +93,44 @@ def test_train_leaves_no_layer_cache(tiny_features):
         assert all(layer._cache is None for layer in graph.layers), kind
 
 
+@pytest.mark.parametrize("kind", list(ModelKind))
+def test_graph_backward_forms_no_gradient_of_the_data(kind):
+    graph = build_model(kind, seed=3, dims=TOY_DIMS)
+    first = graph.layers[0]
+    returned = []
+    full_backward = first.backward
+
+    def spy(dy, **kwargs):
+        returned.append(full_backward(dy, **kwargs))
+        return returned[-1]
+
+    first.backward = spy
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(2, 40)) if kind is ModelKind.DNN_MEAN else rng.normal(size=(2, 8, 40))
+    logits = graph.forward(x, train=True, rng=rng)
+    assert graph.backward(np.ones_like(logits)) is None
+    assert len(returned) == 1 and returned[0] is None
+
+
+@pytest.mark.parametrize("kind", list(ModelKind))
+def test_train_without_validation_fits_the_same_parameters(tiny_features, kind):
+    idx = np.arange(len(tiny_features))
+    x, _ = model_inputs(kind, tiny_features, idx)
+    y = tiny_features.labels
+    cfg = TrainConfig(epochs=2, batch_size=4, seed=9)
+    runs = []
+    for x_val, y_val in ((x, y), (None, None)):
+        graph = build_model(kind, seed=9, dims=TOY_DIMS)
+        runs.append((train(graph, x, y, x_val, y_val, cfg), graph.params()))
+    (validated, validated_params), (unvalidated, params) = runs
+    assert len(validated.val_loss) == len(validated.val_accuracy) == 2
+    assert unvalidated.val_loss == unvalidated.val_accuracy == []
+    assert unvalidated.train_loss == validated.train_loss
+    assert unvalidated.train_accuracy == validated.train_accuracy
+    for a, b in zip(validated_params, params):
+        assert a.tobytes() == b.tobytes()
+
+
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
 def test_train_aborts_on_divergence(tiny_features):
     idx = np.arange(len(tiny_features))

@@ -327,8 +327,8 @@ def test_gradcheck_small_on_linear_model():
 
 def test_gradcheck_detects_doubled_gradient():
     class DoubledDense(Dense):
-        def backward(self, dy):
-            out = super().backward(dy)
+        def backward(self, dy, need_dx=True):
+            out = super().backward(dy, need_dx)
             self.dw *= 2.0
             return out
 
@@ -395,6 +395,27 @@ def test_layer_backward_takes_its_cache_and_overwrites_gradients(kind):
     second = train_step()
     for a, b in zip(first, second):  # gradients are overwritten, not accumulated
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("kind", ["dense", "conv1d", "lstm"])
+def test_skipping_the_input_gradient_keeps_parameter_gradients_bit_equal(kind):
+    spec, shape = _CONTRACT_CASES[kind]
+    if kind == "lstm":
+        shape = (2, 70, 3)  # more than one block in both passes, the last one partial
+    layer = layer_from_spec({"kind": kind, **spec})
+    rng = np.random.default_rng(31)
+    for param in layer.params():
+        param[...] = rng.normal(size=param.shape)
+    x = rng.normal(size=shape)
+    dy = rng.normal(size=layer.forward(x).shape)
+    grads = []
+    for need_dx in (True, False):
+        layer.forward(x, train=True)
+        dx = layer.backward(dy, need_dx=need_dx)
+        assert (dx is None) is not need_dx
+        grads.append([g.copy() for g in layer.grads()])
+    for full, skipped in zip(*grads):
+        assert full.tobytes() == skipped.tobytes()
 
 
 # -- graph & checkpoint -----------------------------------------------------------
