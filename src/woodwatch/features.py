@@ -281,6 +281,9 @@ def _dump_size(header: dict) -> int:
 
 def load_features(path: str | Path) -> FeatureSet:
     header, values = read_container(read_file(path), path, _DUMP_MAGIC, InvalidDatasetError, _dump_size)
-    labels = [-1 if name is None else int(ClipLabel.parse(name)) for name in header["labels"]]
-    return FeatureSet(header["ids"], np.asarray(labels), values.reshape(header["shape"]),
-                      FeatureConfig.from_dict(header["config"]))
+    try:
+        labels = [-1 if name is None else int(ClipLabel.parse(name)) for name in header["labels"]]
+        return FeatureSet(header["ids"], np.asarray(labels), values.reshape(header["shape"]),
+                          FeatureConfig.from_dict(header["config"]))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise InvalidDatasetError(f"{path}: bad header: {exc!r}") from exc

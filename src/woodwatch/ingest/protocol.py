@@ -16,11 +16,13 @@ init and final XOR 0xFFFFFFFF), i.e. exactly what zlib computes.
 
 A payload longer than ``MAX_PAYLOAD_BYTES`` is a protocol error, raised
 from the header alone, so a hostile length never makes a reader wait for
-or buffer gigabytes.
+or buffer gigabytes. ``DeviceFrame`` refuses such a payload too, so a
+sender cannot build a frame that every reader rejects.
 """
 
 from __future__ import annotations
 
+import io
 import struct
 import zlib
 from dataclasses import dataclass
@@ -57,6 +59,8 @@ class DeviceFrame:
             raise ValueError(f"sample_rate out of range: {self.sample_rate}")
         if len(self.payload) % 2 != 0:
             raise ValueError("payload must hold whole 16-bit samples (even byte length)")
+        if len(self.payload) > MAX_PAYLOAD_BYTES:
+            raise ValueError(f"payload of {len(self.payload)} bytes exceeds {MAX_PAYLOAD_BYTES}")
 
 
 def encode_frame(frame: DeviceFrame) -> bytes:
@@ -67,56 +71,44 @@ def encode_frame(frame: DeviceFrame) -> bytes:
 
 def decode_frame(buf: bytes) -> DeviceFrame:
     """Decode one complete frame; the buffer must contain exactly the frame."""
-    if len(buf) < HEADER_SIZE:
-        raise TruncationError(f"frame header needs {HEADER_SIZE} bytes, got {len(buf)}")
-    magic, device_id, seq, sample_rate, payload_len = _HEADER.unpack_from(buf)
-    if magic != FRAME_MAGIC:
-        raise ProtocolError(f"bad frame magic {magic!r}")
-    _check_payload_len(payload_len)
-    expected = HEADER_SIZE + payload_len + CRC_SIZE
-    if len(buf) < expected:
-        raise TruncationError(f"frame declares {expected} bytes, got {len(buf)}")
-    if len(buf) > expected:
-        raise ProtocolError(f"frame overrun: {len(buf)} bytes, expected {expected}")
-    body = buf[: HEADER_SIZE + payload_len]
-    (stated_crc,) = struct.unpack_from("<I", buf, HEADER_SIZE + payload_len)
-    if crc32(body) != stated_crc:
-        raise IntegrityError(
-            f"crc mismatch on frame seq={seq} device={device_id}"
-        )
-    if sample_rate == 0:
-        raise ProtocolError("zero sample_rate")
-    return DeviceFrame(device_id=device_id, seq=seq, sample_rate=sample_rate,
-                       payload=bytes(buf[HEADER_SIZE : HEADER_SIZE + payload_len]))
+    stream = io.BytesIO(buf)
+    frame = read_frame(stream)
+    if frame is None:
+        raise TruncationError(f"frame header needs {HEADER_SIZE} bytes, got 0")
+    if stream.tell() != len(buf):
+        raise ProtocolError(f"frame overrun: {len(buf)} bytes, expected {stream.tell()}")
+    return frame
 
 
 def read_frame(stream) -> DeviceFrame | None:
     """Read one frame from a blocking file-like stream.
 
     Returns None on a clean end-of-stream (no bytes at a frame boundary).
-    Raises TruncationError if the stream ends mid-frame; other decode
-    errors propagate as in decode_frame.
+    Checks, in order: magic, payload length (cap and parity, from the header
+    alone), truncation, CRC, zero sample rate. Raises TruncationError if the
+    stream ends mid-frame, IntegrityError on a CRC mismatch and ProtocolError
+    for the other faults.
     """
     head = _read_exact(stream, HEADER_SIZE, allow_empty=True)
     if head is None:
         return None
-    magic = head[:4]
+    magic, device_id, seq, sample_rate, payload_len = _HEADER.unpack(head)
     if magic != FRAME_MAGIC:
         raise ProtocolError(f"bad frame magic {magic!r}")
-    (payload_len,) = struct.unpack_from("<I", head, 20)
-    _check_payload_len(payload_len)
-    rest = _read_exact(stream, payload_len + CRC_SIZE)
-    return decode_frame(head + rest)
-
-
-def _check_payload_len(payload_len: int) -> None:
     if payload_len > MAX_PAYLOAD_BYTES:
         raise ProtocolError(f"payload length {payload_len} exceeds {MAX_PAYLOAD_BYTES} bytes")
     if payload_len % 2 != 0:
         raise ProtocolError(f"odd payload length {payload_len}")
+    body = memoryview(_read_exact(stream, payload_len + CRC_SIZE))
+    payload = body[:payload_len]
+    if zlib.crc32(payload, zlib.crc32(head)) != int.from_bytes(body[payload_len:], "little"):
+        raise IntegrityError(f"crc mismatch on frame seq={seq} device={device_id}")
+    if sample_rate == 0:
+        raise ProtocolError("zero sample_rate")
+    return DeviceFrame(device_id=device_id, seq=seq, sample_rate=sample_rate, payload=bytes(payload))
 
 
-def _read_exact(stream, n: int, allow_empty: bool = False) -> bytes | None:
+def _read_exact(stream, n: int, allow_empty: bool = False) -> bytearray | None:
     buf = bytearray()
     while len(buf) < n:
         piece = stream.read(n - len(buf))
@@ -125,4 +117,4 @@ def _read_exact(stream, n: int, allow_empty: bool = False) -> bytes | None:
                 return None
             raise TruncationError(f"stream ended after {len(buf)} of {n} bytes")
         buf += piece
-    return bytes(buf)
+    return buf

@@ -52,14 +52,10 @@ class _DeviceSession:
         self.clip_seconds = clip_seconds
         self.device_id: int | None = None
         self.sample_rate: int | None = None
+        self.clip_bytes = 0  # set from the first frame's rate
         self.next_seq = 0
-        self.chunks: list[np.ndarray] = []
-        self.buffered = 0
+        self.pending = bytearray()  # PCM bytes not yet cut into a clip
         self.stream_position = 0  # absolute sample index of the next clip start
-
-    @property
-    def clip_samples(self) -> int:
-        return int(round(self.clip_seconds * self.sample_rate))
 
     def accept(self, frame: protocol.DeviceFrame, stats: "_Stats") -> list[np.ndarray]:
         """Fold one validated frame in; returns any completed clips.
@@ -73,32 +69,26 @@ class _DeviceSession:
                                     f"{MIN_SAMPLE_RATE}-{MAX_SAMPLE_RATE} Hz")
             self.device_id = frame.device_id
             self.sample_rate = frame.sample_rate
+            self.clip_bytes = 2 * segment_samples(self.clip_seconds, frame.sample_rate)
         if frame.device_id != self.device_id or frame.sample_rate != self.sample_rate:
             stats.bump("protocol_errors")
             return []
         if frame.seq < self.next_seq:
             stats.bump("duplicate_frames")
             return []
-        samples = np.frombuffer(frame.payload, dtype="<i2")
         if frame.seq > self.next_seq:
-            fill = (frame.seq - self.next_seq) * len(samples)
-            if fill > self.clip_samples:
-                raise ProtocolError(f"sequence gap of {fill} samples exceeds one clip")
-            self.chunks.append(np.zeros(fill, dtype="<i2"))
-            self.buffered += fill
+            fill = (frame.seq - self.next_seq) * len(frame.payload)
+            if fill > self.clip_bytes:
+                raise ProtocolError(f"sequence gap of {fill // 2} samples exceeds one clip")
+            self.pending += bytes(fill)
             stats.bump("sequence_gaps")
-        self.chunks.append(samples)
-        self.buffered += len(samples)
+        self.pending += frame.payload
         self.next_seq = frame.seq + 1
 
         clips = []
-        if self.buffered >= self.clip_samples:
-            buffer = np.concatenate(self.chunks)
-            while len(buffer) >= self.clip_samples:
-                clips.append(buffer[: self.clip_samples])
-                buffer = buffer[self.clip_samples :]
-            self.chunks = [buffer] if len(buffer) else []
-            self.buffered = len(buffer)
+        while len(self.pending) >= self.clip_bytes:
+            clips.append(np.frombuffer(self.pending[: self.clip_bytes], dtype="<i2"))
+            del self.pending[: self.clip_bytes]
         return clips
 
 

@@ -11,7 +11,7 @@ import numpy as np
 
 from ..audio import AudioClip, float_to_pcm16, read_wav_pcm16
 from ..errors import TransportError
-from .protocol import DeviceFrame, encode_frame
+from .protocol import MAX_PAYLOAD_BYTES, DeviceFrame, encode_frame
 
 FRAME_SAMPLES = 2500  # samples per frame a device sends
 
@@ -25,8 +25,8 @@ def simulate_device(host: str, port: int, source: str | Path | AudioClip, device
     number of frames sent; a lost connection raises TransportError carrying
     the partial count.
     """
-    if frame_samples < 1:
-        raise ValueError(f"frame_samples must be >= 1, got {frame_samples}")
+    if not 1 <= frame_samples <= MAX_PAYLOAD_BYTES // 2:
+        raise ValueError(f"frame_samples must be in 1..{MAX_PAYLOAD_BYTES // 2}, got {frame_samples}")
     if isinstance(source, AudioClip):
         pcm, rate = float_to_pcm16(source.samples), source.sample_rate
     else:

@@ -235,9 +235,12 @@ def load_model(path: str | Path) -> tuple[ModelGraph, ModelKind, FeatureConfig,
                                          StandardizeStats | None, str]:
     """A checkpoint's graph, kind, feature config, standardization stats and id."""
     checkpoint = load_checkpoint(path)
-    kind = ModelKind(checkpoint.kind)
+    try:
+        kind = ModelKind(checkpoint.kind)
+        cfg = FeatureConfig.from_dict(checkpoint.feature_config) if checkpoint.feature_config else FeatureConfig()
+        stats = StandardizeStats.from_dict(checkpoint.feature_stats) if checkpoint.feature_stats else None
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: bad header: {exc!r}") from exc
     if kind is not ModelKind.DNN_MEAN and checkpoint.feature_stats is None:
         raise CheckpointError(f"{path}: {kind.value} checkpoint lacks feature standardization stats")
-    cfg = FeatureConfig.from_dict(checkpoint.feature_config) if checkpoint.feature_config else FeatureConfig()
-    stats = StandardizeStats.from_dict(checkpoint.feature_stats) if checkpoint.feature_stats else None
     return checkpoint.graph, kind, cfg, stats, checkpoint.digest

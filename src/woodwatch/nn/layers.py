@@ -301,7 +301,7 @@ class LSTM(Layer):
         scale = np.full(h4, 0.5)
         scale[2 * hd : 3 * hd] = 1.0  # the cell candidate g is a plain tanh
         ws, us, bs = self.w * scale, self.u * scale, self.b * scale
-        xs = np.swapaxes(x, 0, 1)
+        xs = np.ascontiguousarray(np.swapaxes(x, 0, 1))  # time-major rows: [T, batch, in]
         if train:
             gates = np.empty((t, batch, h4))
             cs = np.zeros((t + 1, batch, hd))
@@ -334,7 +334,7 @@ class LSTM(Layer):
                 np.tanh(c, out=h)
                 h *= o
         if train:
-            self._cache = (x, gates, cs, hs)
+            self._cache = (xs, gates, cs, hs)
             return hs[t].copy()
         return h
 
@@ -366,7 +366,7 @@ class LSTM(Layer):
         return dc_gain, f_copy
 
     def backward(self, dh_last, need_dx=True):
-        x, dz, cs, hs = self._take_cache()  # the gate buffer becomes dz, block by block
+        xs, dz, cs, hs = self._take_cache()  # the gate buffer becomes dz, block by block
         t, batch, h4 = dz.shape
         hd = self.hidden
         dz_by_gate = dz.reshape(t, batch, 4, hd)
@@ -386,7 +386,7 @@ class LSTM(Layer):
                 dc *= f[step - t0]
                 np.matmul(dz[step], u_t, out=dh)
         flat_dz = dz.reshape(-1, h4)
-        np.matmul(np.swapaxes(x, 0, 1).reshape(-1, self.in_dim).T, flat_dz, out=self.dw)
+        np.matmul(xs.reshape(-1, self.in_dim).T, flat_dz, out=self.dw)
         np.matmul(hs[:t].reshape(-1, hd).T, flat_dz, out=self.du)
         np.sum(flat_dz, axis=0, out=self.db)
         if not need_dx:

@@ -7,8 +7,10 @@ import pytest
 
 from woodwatch.audio import CANONICAL_RATE, CANONICAL_SECONDS, load_wav
 from woodwatch.cli import build_parser, main
+from woodwatch.container import write_container
 from woodwatch.evaluation import FOLDS, HOLDOUT_RATIO
 from woodwatch.features import FeatureConfig, FeatureSet, load_features, mfcc_frames, save_features
+from woodwatch.ingest.protocol import MAX_PAYLOAD_BYTES
 from woodwatch.ingest.server import DEFAULT_HOST
 from woodwatch.ingest.simulator import FRAME_SAMPLES
 from woodwatch.models import ModelKind, TrainConfig, build_model, model_inputs
@@ -150,6 +152,18 @@ def test_train_rejects_json_feature_dump(capsys, tmp_path):
     assert "not a WWFD file" in err
 
 
+@pytest.mark.parametrize("fault", [{"config": {"bogus": 1}}, {"config": [1]}, {"labels": None}])
+def test_train_on_a_dump_with_a_malformed_header_is_data_error(capsys, tmp_path, fault):
+    dump = tmp_path / "bad.wwfd"
+    header = {"format_version": 1, "config": FeatureConfig().to_dict(), "ids": ["a", "b"],
+              "labels": ["clean", "infested"], "shape": [2, 3, 40]}
+    write_container(dump, b"WWFD", {**header, **fault}, np.zeros((2, 3, 40)))
+    code, _, err = run_cli(capsys, "train", "--features", str(dump), "--kind", "dnn_mean",
+                           "--out-checkpoint", str(tmp_path / "m.ckpt"))
+    assert code == 2
+    assert str(dump) in err and "Traceback" not in err
+
+
 @pytest.fixture(scope="module")
 def small_pipeline(tmp_path_factory):
     """gen-synth + extract once for the train/evaluate/compare smoke tests."""
@@ -245,6 +259,23 @@ def test_evaluate_rejects_a_dump_extracted_with_another_feature_config(capsys, s
     assert "feature config" in err and "hop=256" in err
 
 
+@pytest.mark.parametrize("command, kind, fault", [
+    ("evaluate", ModelKind.DNN_MEAN, {"feature_config": {"bogus": 1}}),
+    ("serve", ModelKind.DNN_MEAN, {"feature_config": {"bogus": 1}}),
+    ("evaluate", ModelKind.CNN, {"feature_stats": {"mean": [0.0] * 40}}),  # no "std"
+])
+def test_checkpoint_with_a_malformed_header_is_data_error(capsys, small_pipeline, tmp_path,
+                                                         command, kind, fault):
+    _, feats = small_pipeline
+    ckpt = tmp_path / "bad.ckpt"
+    save_checkpoint(ckpt, build_model(kind, seed=0), kind.value, seed=0, **fault)
+    flags = {"evaluate": ["--features", str(feats)],
+             "serve": ["--store", str(tmp_path / "s.jsonl"), "--port", "0"]}[command]
+    code, _, err = run_cli(capsys, command, "--checkpoint", str(ckpt), *flags)
+    assert code == 2
+    assert str(ckpt) in err and "bad header" in err
+
+
 def test_crossval_cli(capsys, small_pipeline, tmp_path):
     _, feats = small_pipeline
     out_path = tmp_path / "cv.json"
@@ -322,3 +353,10 @@ def test_simulate_device_dead_server_is_runtime_error(capsys):
     code, _, _ = run_cli(capsys, "simulate-device", "--port", "1",
                          "--synth", "clean", "--seed", "1")
     assert code == 3
+
+
+def test_simulate_device_frame_over_the_cap_is_data_error(capsys):
+    code, _, err = run_cli(capsys, "simulate-device", "--port", "1", "--synth", "clean",
+                           "--frame-samples", str(MAX_PAYLOAD_BYTES // 2 + 1))
+    assert code == 2  # refused before connecting: a dead port would be exit 3
+    assert "frame_samples" in err

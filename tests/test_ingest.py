@@ -86,6 +86,64 @@ def test_record_validation():
         record("t", p=1.5)
 
 
+# -- reassembly -------------------------------------------------------------------------
+
+def reassembly_oracle(frames, clip_samples):
+    """Clips and counters from the plain rule: the payloads of the device's
+    first frame, in sequence order, zero-filled for each missing frame at the
+    revealing frame's length, cut every ``clip_samples``."""
+    first = frames[0]
+    parts, next_seq = [], 0
+    counts = {"protocol_errors": 0, "duplicate_frames": 0, "sequence_gaps": 0}
+    for frame in frames:
+        samples = np.frombuffer(frame.payload, dtype="<i2")
+        if (frame.device_id, frame.sample_rate) != (first.device_id, first.sample_rate):
+            counts["protocol_errors"] += 1
+        elif frame.seq < next_seq:
+            counts["duplicate_frames"] += 1
+        else:
+            if frame.seq > next_seq:
+                parts.append(np.zeros((frame.seq - next_seq) * len(samples), dtype="<i2"))
+                counts["sequence_gaps"] += 1
+            parts.append(samples)
+            next_seq = frame.seq + 1
+    stream = np.concatenate(parts)
+    n_clips = len(stream) // clip_samples
+    return [stream[k * clip_samples : (k + 1) * clip_samples] for k in range(n_clips)], counts
+
+
+@pytest.mark.parametrize("rate, clip_seconds", [(8000, 0.00123), (16000, 0.0125), (44100, 0.01)])
+def test_session_reassembly_matches_the_oracle(rate, clip_seconds):
+    rng = np.random.default_rng(rate)
+    clip_samples = int(round(clip_seconds * rate))
+    frames, seq = [], 0
+    for _ in range(300):
+        n = int(rng.integers(0, 3 * clip_samples))  # empty frames and frames of several clips too
+        payload = rng.integers(-2**15, 2**15, size=n, dtype=np.int16).astype("<i2").tobytes()
+        roll = rng.random()
+        if roll < 0.1 and seq > 0:
+            frames.append(DeviceFrame(3, int(rng.integers(0, seq)), rate, payload))  # duplicate
+            continue
+        if roll < 0.15:
+            frames.append(DeviceFrame(4, seq, rate, payload))  # another device: refused
+            continue
+        missing = int(rng.integers(1, 3)) if roll < 0.3 else 0
+        if missing * n > clip_samples:  # a gap longer than a clip ends the connection
+            missing = 0
+        seq += missing
+        frames.append(DeviceFrame(3, seq, rate, payload))
+        seq += 1
+    session, stats = server_module._DeviceSession(clip_seconds), server_module._Stats()
+    clips = [clip for frame in frames for clip in session.accept(frame, stats)]
+    want_clips, want_counts = reassembly_oracle(frames, clip_samples)
+    assert len(clips) == len(want_clips) > 10
+    assert all(np.array_equal(got, want) for got, want in zip(clips, want_clips))
+    counts = stats.snapshot()
+    assert {key: counts[key] for key in want_counts} == want_counts
+    assert want_counts["sequence_gaps"] > 0 and want_counts["duplicate_frames"] > 0
+    assert len(session.pending) < 2 * clip_samples  # less than one clip held between frames
+
+
 # -- server fixtures -----------------------------------------------------------------
 
 @pytest.fixture(scope="module")

@@ -85,12 +85,18 @@ def test_truncation_rejected():
         decode_frame(blob[:-3])
     with pytest.raises(TruncationError):
         decode_frame(blob[:10])
+    with pytest.raises(TruncationError):
+        decode_frame(b"")
 
 
 def test_overrun_rejected():
     blob = encode_frame(DeviceFrame(1, 1, 16000, b"\x00\x00"))
-    with pytest.raises(ProtocolError):
+    with pytest.raises(ProtocolError, match="overrun"):
         decode_frame(blob + b"\x00")
+    damaged = bytearray(blob + b"\x00")
+    damaged[HEADER_SIZE] ^= 0x01  # the crc is checked before the leftover byte is seen
+    with pytest.raises(IntegrityError):
+        decode_frame(bytes(damaged))
 
 
 def header_declaring(payload_len: int) -> bytes:
@@ -149,3 +155,35 @@ def test_frame_validation():
         DeviceFrame(device_id=0, seq=0, sample_rate=0, payload=b"")
     with pytest.raises(ValueError):
         DeviceFrame(device_id=0, seq=0, sample_rate=16000, payload=b"\x01")
+
+
+def test_frame_payload_over_the_cap_is_refused():
+    DeviceFrame(1, 0, 16000, bytes(MAX_PAYLOAD_BYTES))  # the largest frame a reader accepts
+    with pytest.raises(ValueError, match="exceeds"):
+        DeviceFrame(1, 0, 16000, bytes(MAX_PAYLOAD_BYTES + 2))
+
+
+def outcome(decode, blob):
+    """The frame a decoder returns, or the class of the exception it raises."""
+    try:
+        return decode(blob)
+    except ProtocolError as exc:
+        return type(exc)
+
+
+def test_decode_frame_and_read_frame_agree_on_damaged_frames():
+    rng = np.random.default_rng(4)
+    via_stream = lambda blob: read_frame(io.BytesIO(blob))  # noqa: E731
+    blobs = []
+    for _ in range(200):
+        blob = encode_frame(random_frame(rng))
+        blobs.append(blob)
+        for lo, hi in ((0, HEADER_SIZE), (HEADER_SIZE, len(blob))):  # header, then payload + crc
+            damaged = bytearray(blob)
+            damaged[int(rng.integers(lo, hi))] ^= 1 << int(rng.integers(0, 8))
+            blobs.append(bytes(damaged))
+        blobs.append(blob[: int(rng.integers(1, len(blob)))])
+    outcomes = [outcome(decode_frame, blob) for blob in blobs]
+    assert outcomes == [outcome(via_stream, blob) for blob in blobs]
+    assert {IntegrityError, TruncationError} <= set(outcomes)
+    assert sum(isinstance(o, DeviceFrame) for o in outcomes) == 200  # only the intact blobs
