@@ -77,7 +77,7 @@ def _echo_config(command: str, args: argparse.Namespace) -> None:
 
 
 def _print_json(payload: dict) -> None:
-    print(json.dumps(payload))
+    print(json.dumps(payload), flush=True)
 
 
 # --------------------------------------------------------------------------
@@ -199,8 +199,10 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    IngestServer(args.port, args.checkpoint, args.store, archive_dir=args.archive_dir,
-                 clip_seconds=args.clip_seconds, host=args.host).run()
+    server = IngestServer(args.port, args.checkpoint, args.store, archive_dir=args.archive_dir,
+                          clip_seconds=args.clip_seconds, host=args.host)
+    _print_json({"listening": args.host, "port": server.port})
+    server.run()
     return EXIT_OK
 
 

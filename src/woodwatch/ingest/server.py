@@ -11,18 +11,22 @@ a full clip's worth of samples accumulates, the clip is resampled to the
 canonical rate if needed, featurized, classified with the loaded
 checkpoint, and appended to the JSON-lines store by the connection's own
 handler under one lock. Malformed frames, store failures and broken
-connections are counted, never fatal. A connection that sends nothing for
-IDLE_TIMEOUT_S is closed, so a silent client cannot hold a handler thread.
+connections are counted, never fatal. A frame must arrive in full within
+IDLE_TIMEOUT_S of the moment the handler starts waiting for it, or the
+connection is closed, so neither a silent client nor one that drips bytes
+can hold a handler thread.
 """
 
 from __future__ import annotations
 
 import contextlib
+import io
 import logging
 import select
 import socket
 import socketserver
 import threading
+import time
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -42,7 +46,7 @@ _DRAIN_S = 3.0  # how long stop() lets open connections end on their own
 MIN_SAMPLE_RATE = 8_000  # Hz, the range a device stream may declare
 MAX_SAMPLE_RATE = 192_000
 DEFAULT_HOST = "127.0.0.1"
-IDLE_TIMEOUT_S = 30.0  # a connection silent this long is closed
+IDLE_TIMEOUT_S = 30.0  # the time a whole frame may take, counted from when the handler waits for it
 
 
 class _DeviceSession:
@@ -116,15 +120,41 @@ class _Stats:
             return dict(self._counts)
 
 
-class _Handler(socketserver.StreamRequestHandler):
-    timeout = IDLE_TIMEOUT_S  # setup() applies it to the socket
+class _FrameDeadlineReader:
+    """A connection's bytes as a stream whose reads all end by one deadline.
+
+    ``read`` returns received bytes not yet read when there are any. Else it
+    receives once, with the socket timeout set to the time left, and raises
+    TimeoutError once none is left.
+    """
+
+    def __init__(self, sock: socket.socket):
+        self._sock = sock
+        self._pending = memoryview(b"")  # received, not yet read
+        self.deadline = 0.0  # time.monotonic() by which the current frame must be in
+
+    def read(self, n: int) -> memoryview:
+        if not self._pending:
+            left = self.deadline - time.monotonic()
+            if left <= 0:
+                raise TimeoutError("frame not complete before its deadline")
+            self._sock.settimeout(left)
+            self._pending = memoryview(self._sock.recv(io.DEFAULT_BUFFER_SIZE))
+        piece, self._pending = self._pending[:n], self._pending[n:]
+        return piece
+
+
+class _Handler(socketserver.BaseRequestHandler):
+    timeout = IDLE_TIMEOUT_S  # the time each frame may take
 
     def handle(self):
         server: IngestServer = self.server.owner
         session = _DeviceSession(server.clip_seconds)
+        stream = _FrameDeadlineReader(self.request)
         while True:
+            stream.deadline = time.monotonic() + self.timeout
             try:
-                frame = protocol.read_frame(self.rfile)
+                frame = protocol.read_frame(stream)
                 if frame is None:
                     break
                 server.stats.bump("frames_ok")
@@ -137,7 +167,7 @@ class _Handler(socketserver.StreamRequestHandler):
             except ProtocolError:
                 server.stats.bump("protocol_errors")
                 break  # cannot resync after a framing violation, a bad rate or an oversized gap
-            except OSError:  # TimeoutError after IDLE_TIMEOUT_S of silence, or a reset
+            except OSError:  # TimeoutError at the frame's deadline, or a reset
                 server.stats.bump("connection_errors")
                 break
             for clip_pcm in clips:
@@ -208,7 +238,6 @@ class IngestServer:
         """Serve until interrupted (Ctrl-C), then stop."""
         try:
             self.start()
-            log.info("ingest server listening on %s:%d", *self._tcp.server_address)
             threading.Event().wait()
         except KeyboardInterrupt:
             pass

@@ -233,12 +233,22 @@ def split_inputs(kind: ModelKind, features: FeatureSet, train_idx: np.ndarray,
 
 def load_model(path: str | Path) -> tuple[ModelGraph, ModelKind, FeatureConfig,
                                          StandardizeStats | None, str]:
-    """A checkpoint's graph, kind, feature config, standardization stats and id."""
+    """A checkpoint's graph, kind, feature config, standardization stats and id.
+
+    Stats must hold one finite mean and one finite, positive std per
+    coefficient of the feature config; anything else raises CheckpointError.
+    """
     checkpoint = load_checkpoint(path)
     try:
         kind = ModelKind(checkpoint.kind)
         cfg = FeatureConfig.from_dict(checkpoint.feature_config) if checkpoint.feature_config else FeatureConfig()
         stats = StandardizeStats.from_dict(checkpoint.feature_stats) if checkpoint.feature_stats else None
+        if stats is not None:
+            if not stats.mean.shape == stats.std.shape == (cfg.n_mfcc,):
+                raise ValueError(f"feature_stats mean {stats.mean.shape} and std {stats.std.shape} "
+                                 f"must both hold n_mfcc = {cfg.n_mfcc} values")
+            if not (np.isfinite(stats.mean).all() and np.isfinite(stats.std).all() and (stats.std > 0).all()):
+                raise ValueError("feature_stats must be finite, with every std > 0")
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: bad header: {exc!r}") from exc
     if kind is not ModelKind.DNN_MEAN and checkpoint.feature_stats is None:

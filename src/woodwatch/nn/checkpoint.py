@@ -52,14 +52,15 @@ def save_checkpoint(path: str | Path, graph: ModelGraph, kind: str, seed: int,
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
     """The checkpoint at ``path``; a bad file or a non-finite parameter raises CheckpointError."""
-    graph = None
+    graph = kind = seed = None
 
     def param_count(header: dict) -> int:
-        nonlocal graph
+        nonlocal graph, kind, seed
         version = header.get("format_version")
         if version != _FORMAT_VERSION:
             raise ValueError(f"unsupported format version {version}, this build reads "
                              f"version {_FORMAT_VERSION}; retrain the model")
+        kind, seed = header["kind"], header["seed"]
         graph = ModelGraph.from_specs(header["layers"])
         return graph.param_count
 
@@ -73,8 +74,8 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         offset += param.size
     return Checkpoint(
         graph=graph,
-        kind=header["kind"],
-        seed=header["seed"],
+        kind=kind,
+        seed=seed,
         feature_stats=header.get("feature_stats"),
         feature_config=header.get("feature_config"),
         digest=hashlib.sha256(data).hexdigest()[:12],

@@ -13,10 +13,18 @@ A :class:`ModelGraph` chains layers and outputs logits. Training pairs it
 with the fused softmax cross-entropy below; inference turns logits into
 probabilities with :func:`softmax`.
 
+Each layer class states its facts once, as class attributes: ``KIND``
+names it in a checkpoint, ``_SPEC`` maps each spec key to the constructor
+argument and attribute of the same meaning, and ``_PARAMS`` lists its
+parameter attributes in checkpoint and optimizer order, the gradient of
+``w`` being ``dw``. :class:`Layer` derives ``params``, ``grads`` and ``spec``
+from them, and :func:`layer_from_spec` the constructor call.
+
 Weight init is Glorot uniform (limit sqrt(6 / (fan_in + fan_out))) for
 dense, convolution and LSTM matrices; biases start at zero except the LSTM
 forget gate, which starts at 1. All draws come from the single generator
-passed in, in layer order (Dense: W; Conv1D: K; LSTM: W then U).
+passed in, in layer order (Dense: W; Conv1D: K; LSTM: W then U). Without a
+generator every matrix starts at zero.
 """
 
 from __future__ import annotations
@@ -24,14 +32,19 @@ from __future__ import annotations
 import numpy as np
 
 
-def _glorot(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, fan_out: int) -> np.ndarray:
+def _glorot(rng: np.random.Generator | None, shape: tuple[int, ...], fan_in: int, fan_out: int) -> np.ndarray:
+    if rng is None:
+        return np.zeros(shape)
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=shape)
 
 
 class Layer:
-    """Base class; parameter-free layers inherit the empty defaults."""
+    """Base class; parameter-free layers inherit the empty declarations."""
 
+    KIND: str  # the layer's name in a checkpoint
+    _SPEC: dict[str, str] = {}  # spec key -> constructor argument and attribute
+    _PARAMS: tuple[str, ...] = ()  # parameter attributes; the gradient of "w" is "dw"
     _cache = None  # what a train-mode forward left for backward
 
     def _take_cache(self):
@@ -43,11 +56,19 @@ class Layer:
         self._cache = None
         return cache
 
+    def _zero_grads(self) -> None:
+        """One zeroed gradient array per parameter, for backward to overwrite."""
+        for name in self._PARAMS:
+            setattr(self, "d" + name, np.zeros_like(getattr(self, name)))
+
     def params(self) -> list[np.ndarray]:
-        return []
+        return [getattr(self, name) for name in self._PARAMS]
 
     def grads(self) -> list[np.ndarray]:
-        return []
+        return [getattr(self, "d" + name) for name in self._PARAMS]
+
+    def spec(self) -> dict:
+        return {"kind": self.KIND, **{key: getattr(self, attr) for key, attr in self._SPEC.items()}}
 
     def forward(self, x: np.ndarray, train: bool = False, rng: np.random.Generator | None = None) -> np.ndarray:
         raise NotImplementedError
@@ -55,26 +76,17 @@ class Layer:
     def backward(self, dy: np.ndarray, need_dx: bool = True) -> np.ndarray | None:
         raise NotImplementedError
 
-    def spec(self) -> dict:
-        raise NotImplementedError
-
 
 class Dense(Layer):
+    KIND = "dense"
+    _SPEC = {"in": "in_dim", "out": "out_dim"}
+    _PARAMS = ("w", "b")
+
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator | None = None):
         self.in_dim, self.out_dim = in_dim, out_dim
-        if rng is None:
-            self.w = np.zeros((in_dim, out_dim))
-        else:
-            self.w = _glorot(rng, (in_dim, out_dim), in_dim, out_dim)
+        self.w = _glorot(rng, (in_dim, out_dim), in_dim, out_dim)
         self.b = np.zeros(out_dim)
-        self.dw = np.zeros_like(self.w)
-        self.db = np.zeros_like(self.b)
-
-    def params(self):
-        return [self.w, self.b]
-
-    def grads(self):
-        return [self.dw, self.db]
+        self._zero_grads()
 
     def forward(self, x, train=False, rng=None):
         if x.ndim != 2 or x.shape[1] != self.in_dim:
@@ -89,11 +101,10 @@ class Dense(Layer):
         np.sum(dy, axis=0, out=self.db)
         return dy @ self.w.T if need_dx else None
 
-    def spec(self):
-        return {"kind": "dense", "in": self.in_dim, "out": self.out_dim}
-
 
 class ReLU(Layer):
+    KIND = "relu"
+
     def forward(self, x, train=False, rng=None):
         if train:
             self._cache = x > 0
@@ -102,12 +113,12 @@ class ReLU(Layer):
     def backward(self, dy, need_dx=True):
         return dy * self._take_cache()
 
-    def spec(self):
-        return {"kind": "relu"}
-
 
 class Dropout(Layer):
     """Inverted dropout: kept elements are scaled by 1/(1-rate); inference is identity."""
+
+    KIND = "dropout"
+    _SPEC = {"rate": "rate"}
 
     def __init__(self, rate: float):
         if not 0.0 <= rate < 1.0:
@@ -129,31 +140,21 @@ class Dropout(Layer):
     def backward(self, dy, need_dx=True):
         return dy * self._take_cache()
 
-    def spec(self):
-        return {"kind": "dropout", "rate": self.rate}
-
 
 class Conv1D(Layer):
     """Same-length 1-D convolution over time, channels last. Odd kernels only."""
+
+    KIND = "conv1d"
+    _SPEC = {"in": "in_channels", "out": "out_channels", "kernel": "kernel"}
+    _PARAMS = ("k", "b")
 
     def __init__(self, in_channels: int, out_channels: int, kernel: int, rng: np.random.Generator | None = None):
         if kernel % 2 == 0:
             raise ValueError(f"kernel width must be odd, got {kernel}")
         self.in_channels, self.out_channels, self.kernel = in_channels, out_channels, kernel
-        fan_in, fan_out = kernel * in_channels, kernel * out_channels
-        if rng is None:
-            self.k = np.zeros((kernel, in_channels, out_channels))
-        else:
-            self.k = _glorot(rng, (kernel, in_channels, out_channels), fan_in, fan_out)
+        self.k = _glorot(rng, (kernel, in_channels, out_channels), kernel * in_channels, kernel * out_channels)
         self.b = np.zeros(out_channels)
-        self.dk = np.zeros_like(self.k)
-        self.db = np.zeros_like(self.b)
-
-    def params(self):
-        return [self.k, self.b]
-
-    def grads(self):
-        return [self.dk, self.db]
+        self._zero_grads()
 
     def forward(self, x, train=False, rng=None):
         if x.ndim != 3 or x.shape[2] != self.in_channels:
@@ -184,12 +185,12 @@ class Conv1D(Layer):
         pad = (self.kernel - 1) // 2
         return dxp[:, pad : pad + t, :]
 
-    def spec(self):
-        return {"kind": "conv1d", "in": self.in_channels, "out": self.out_channels, "kernel": self.kernel}
-
 
 class MaxPool1D(Layer):
     """Window maximum over time; trailing remainder dropped; ties route to the first index."""
+
+    KIND = "maxpool1d"
+    _SPEC = {"width": "width"}
 
     def __init__(self, width: int):
         if width < 1:
@@ -224,12 +225,11 @@ class MaxPool1D(Layer):
             free ^= hit
         return dx
 
-    def spec(self):
-        return {"kind": "maxpool1d", "width": self.width}
-
 
 class GlobalAvgPool1D(Layer):
     """Mean over the time axis: [batch, T, C] -> [batch, C]."""
+
+    KIND = "globalavgpool1d"
 
     def forward(self, x, train=False, rng=None):
         if train:
@@ -239,9 +239,6 @@ class GlobalAvgPool1D(Layer):
     def backward(self, dy, need_dx=True):
         t = self._take_cache()
         return np.repeat(dy[:, None, :], t, axis=1) / t
-
-    def spec(self):
-        return {"kind": "globalavgpool1d"}
 
 
 class LSTM(Layer):
@@ -262,6 +259,9 @@ class LSTM(Layer):
     block-sized buffer is reused, so memory does not grow with T.
     """
 
+    KIND = "lstm"
+    _SPEC = {"in": "in_dim", "hidden": "hidden"}
+    _PARAMS = ("w", "u", "b")
     _BLOCK = 32
     # Backward blocks are shorter: at batch 32 and 4H = 256, 16 steps of gates
     # and their temporaries take ~2 MB, a Xeon core's L2 cache; 32-step blocks
@@ -271,23 +271,11 @@ class LSTM(Layer):
     def __init__(self, in_dim: int, hidden: int, rng: np.random.Generator | None = None):
         self.in_dim, self.hidden = in_dim, hidden
         h4 = 4 * hidden
-        if rng is None:
-            self.w = np.zeros((in_dim, h4))
-            self.u = np.zeros((hidden, h4))
-        else:
-            self.w = _glorot(rng, (in_dim, h4), in_dim, h4)
-            self.u = _glorot(rng, (hidden, h4), hidden, h4)
+        self.w = _glorot(rng, (in_dim, h4), in_dim, h4)
+        self.u = _glorot(rng, (hidden, h4), hidden, h4)
         self.b = np.zeros(h4)
         self.b[hidden : 2 * hidden] = 1.0  # forget-gate bias aids trainability
-        self.dw = np.zeros_like(self.w)
-        self.du = np.zeros_like(self.u)
-        self.db = np.zeros_like(self.b)
-
-    def params(self):
-        return [self.w, self.u, self.b]
-
-    def grads(self):
-        return [self.dw, self.du, self.db]
+        self._zero_grads()
 
     def _gate_views(self, a):
         hd = self.hidden
@@ -393,26 +381,17 @@ class LSTM(Layer):
             return None
         return np.swapaxes((flat_dz @ self.w.T).reshape(t, batch, self.in_dim), 0, 1)
 
-    def spec(self):
-        return {"kind": "lstm", "in": self.in_dim, "hidden": self.hidden}
 
-
-_LAYER_KINDS = {
-    "dense": lambda d: Dense(d["in"], d["out"]),
-    "relu": lambda d: ReLU(),
-    "dropout": lambda d: Dropout(d["rate"]),
-    "conv1d": lambda d: Conv1D(d["in"], d["out"], d["kernel"]),
-    "maxpool1d": lambda d: MaxPool1D(d["width"]),
-    "globalavgpool1d": lambda d: GlobalAvgPool1D(),
-    "lstm": lambda d: LSTM(d["in"], d["hidden"]),
-}
+_LAYER_KINDS = {cls.KIND: cls for cls in (Dense, ReLU, Dropout, Conv1D, MaxPool1D, GlobalAvgPool1D, LSTM)}
 
 
 def layer_from_spec(d: dict) -> Layer:
+    """The layer a spec names; a missing spec key raises KeyError."""
     try:
-        return _LAYER_KINDS[d["kind"]](d)
+        cls = _LAYER_KINDS[d["kind"]]
     except KeyError as exc:
         raise ValueError(f"unknown layer kind {d.get('kind')!r}") from exc
+    return cls(**{attr: d[key] for key, attr in cls._SPEC.items()})
 
 
 class ModelGraph:

@@ -1,4 +1,5 @@
 import json
+import math
 import time
 from dataclasses import fields
 
@@ -11,7 +12,7 @@ from woodwatch.container import write_container
 from woodwatch.evaluation import FOLDS, HOLDOUT_RATIO
 from woodwatch.features import FeatureConfig, FeatureSet, load_features, mfcc_frames, save_features
 from woodwatch.ingest.protocol import MAX_PAYLOAD_BYTES
-from woodwatch.ingest.server import DEFAULT_HOST
+from woodwatch.ingest.server import DEFAULT_HOST, IngestServer
 from woodwatch.ingest.simulator import FRAME_SAMPLES
 from woodwatch.models import ModelKind, TrainConfig, build_model, model_inputs
 from woodwatch.nn import save_checkpoint
@@ -274,6 +275,52 @@ def test_checkpoint_with_a_malformed_header_is_data_error(capsys, small_pipeline
     code, _, err = run_cli(capsys, command, "--checkpoint", str(ckpt), *flags)
     assert code == 2
     assert str(ckpt) in err and "bad header" in err
+
+
+@pytest.mark.parametrize("command, stats, fault", [
+    ("evaluate", {"mean": [0.0] * 3, "std": [1.0] * 3}, "n_mfcc = 40"),
+    ("serve", {"mean": [0.0] * 3, "std": [1.0] * 3}, "n_mfcc = 40"),
+    ("evaluate", {"mean": [math.nan] + [0.0] * 39, "std": [1.0] * 40}, "finite"),
+    ("evaluate", {"mean": [0.0] * 40, "std": [1.0] * 39 + [0.0]}, "std > 0"),
+], ids=["short-evaluate", "short-serve", "nan-mean", "zero-std"])
+def test_checkpoint_stats_that_do_not_fit_its_feature_config_are_data_error(capsys, monkeypatch, small_pipeline,
+                                                                           tmp_path, command, stats, fault):
+    _, feats = small_pipeline
+    monkeypatch.setattr(IngestServer, "run", IngestServer.stop)  # a server that starts returns at once
+    ckpt = tmp_path / "bad-stats.ckpt"
+    save_checkpoint(ckpt, build_model(ModelKind.CNN, seed=0), ModelKind.CNN.value, seed=0,
+                    feature_stats=stats)
+    flags = {"evaluate": ["--features", str(feats)],
+             "serve": ["--store", str(tmp_path / "s.jsonl"), "--port", "0"]}[command]
+    code, out, err = run_cli(capsys, command, "--checkpoint", str(ckpt), *flags)
+    assert code == 2
+    assert str(ckpt) in err and fault in err
+    assert "listening" not in out  # serve stopped before it bound
+
+
+@pytest.mark.parametrize("field", ["kind", "seed"])
+def test_checkpoint_header_without_kind_or_seed_is_data_error(capsys, small_pipeline, tmp_path, field):
+    _, feats = small_pipeline
+    graph = build_model(ModelKind.DNN_MEAN, seed=0)
+    header = {"format_version": 2, "kind": "dnn_mean", "layers": graph.specs(), "seed": 0,
+              "param_count": graph.param_count, "feature_stats": None, "feature_config": None}
+    del header[field]
+    ckpt = tmp_path / f"no-{field}.ckpt"
+    write_container(ckpt, b"WWCK", header, np.concatenate([p.reshape(-1) for p in graph.params()]))
+    code, _, err = run_cli(capsys, "evaluate", "--checkpoint", str(ckpt), "--features", str(feats))
+    assert code == 2
+    assert str(ckpt) in err and "bad header" in err and repr(field) in err
+
+
+def test_serve_prints_the_port_it_listens_on(capsys, monkeypatch, tmp_path):
+    ckpt = tmp_path / "dnn.ckpt"
+    save_checkpoint(ckpt, build_model(ModelKind.DNN_MEAN, seed=0), ModelKind.DNN_MEAN.value, seed=0)
+    monkeypatch.setattr(IngestServer, "run", IngestServer.stop)  # returns at once, socket closed
+    code, out, _ = run_cli(capsys, "serve", "--checkpoint", str(ckpt),
+                           "--store", str(tmp_path / "s.jsonl"), "--port", "0")
+    assert code == 0
+    last = json.loads(out.strip().splitlines()[-1])
+    assert last["listening"] == DEFAULT_HOST and last["port"] > 0
 
 
 def test_crossval_cli(capsys, small_pipeline, tmp_path):

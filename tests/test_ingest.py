@@ -353,6 +353,45 @@ def test_idle_connection_times_out_and_is_counted(running_server, monkeypatch):
     assert [r.device_id for r in load_store(store)[0]] == [15]
 
 
+def test_a_client_that_drips_a_frame_is_closed_at_the_frame_deadline(served_checkpoint, tmp_path,
+                                                                     monkeypatch):
+    timeout = 0.5
+    monkeypatch.setattr(server_module._Handler, "timeout", timeout)
+    server = IngestServer(0, served_checkpoint, tmp_path / "store.jsonl")
+    server.start()
+    frame = encode_frame(DeviceFrame(device_id=18, seq=0, sample_rate=16000, payload=bytes(200)))
+    closed = threading.Event()
+    with socket.create_connection(("127.0.0.1", server.port)) as conn:
+
+        def drip():  # one byte every 0.3 s: each recv is well inside the timeout
+            for byte in frame:
+                try:
+                    conn.sendall(bytes([byte]))
+                except OSError:
+                    return
+                if closed.wait(0.3):
+                    return
+
+        sender = threading.Thread(target=drip, daemon=True)
+        start = time.monotonic()
+        sender.start()
+        counted = wait_for(lambda: server.stats.snapshot()["connection_errors"] == 1, timeout=8 * timeout)
+        elapsed = time.monotonic() - start
+        conn.settimeout(5.0)
+        try:
+            assert conn.recv(1) == b""  # the handler returned and closed its end
+        except ConnectionResetError:  # or reset it, with a dripped byte still unread
+            pass
+        closed.set()
+        sender.join(timeout=5.0)
+    assert not sender.is_alive()
+    assert counted and elapsed < 2 * timeout
+    start = time.monotonic()
+    server.stop()
+    assert time.monotonic() - start < 2.0
+    assert server.stats.snapshot()["frames_ok"] == 0
+
+
 def test_reset_mid_header_is_counted_without_a_traceback(running_server, capfd):
     server, store, _ = running_server
     frame = encode_frame(DeviceFrame(device_id=16, seq=0, sample_rate=16000, payload=b"\0\0"))

@@ -1,8 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from woodwatch.errors import TrainingDivergedError
 from woodwatch.evaluation import stratified_split
+from woodwatch.features import FeatureConfig
 from woodwatch.models import (
     GraphDims,
     ModelKind,
@@ -15,6 +18,30 @@ from woodwatch.models import (
     train,
 )
 from woodwatch.nn import finite_diff_check, load_checkpoint, save_checkpoint
+
+
+# sha256 of save_checkpoint's bytes for build_model(kind, seed=7, dims): any
+# drift in a layer's KIND, its spec keys or its parameter order changes them
+_CHECKPOINT_SHA256 = {
+    ("published", "dnn_mean"): "6c0da05b757dcbf12c4c24b172fb51b2cbaeb5712044c21f48614ad83139e8a8",
+    ("published", "cnn"): "07186da0429bed60c2304ab7192a5faf8308f44b09b3e8177fcc10a97e1b798a",
+    ("published", "lstm"): "a852167dc19b20f65bcaf016d34c65aee5ec7a7afeb77a8a8d8e1d8cc9213309",
+    ("published", "cnn_lstm"): "8061df5ca6ad42bdc37dbe8c1bdbbffa6c2c5351679a51d2cc3fd29c29868f57",
+    ("toy", "dnn_mean"): "1d881e4ae57620ea6e2a0f3563765782b79d2ad5138a143e0711aecc70d446a9",
+    ("toy", "cnn"): "98f7eee8401d930f276dc3e3352b1802277815361f8e3d0ef36f5914fbad4f1a",
+    ("toy", "lstm"): "3a6a3cb7de236e89ae77376d4b2767b5d823a24b62d7d55558738c3fb4410552",
+    ("toy", "cnn_lstm"): "7c622a7debedfd2089ea019ea35286180d98e05b33e487ad574f7300034947a0",
+}
+
+
+@pytest.mark.parametrize("dims_name, kind", sorted(_CHECKPOINT_SHA256))
+def test_checkpoint_bytes_are_pinned(tmp_path, dims_name, kind):
+    dims = {"published": GraphDims(), "toy": TOY_DIMS}[dims_name]
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, build_model(kind, seed=7, dims=dims), kind, seed=7,
+                    feature_stats={"mean": [0.25] * 40, "std": [2.0] * 40},
+                    feature_config=FeatureConfig().to_dict())
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == _CHECKPOINT_SHA256[dims_name, kind]
 
 
 def test_dnn_mean_parameter_count():

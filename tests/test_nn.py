@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import oracles
+from woodwatch.container import write_container
 from woodwatch.errors import CheckpointError, TrainingDivergedError
 from woodwatch.nn import (
     Adam,
@@ -395,6 +396,34 @@ def test_layer_backward_takes_its_cache_and_overwrites_gradients(kind):
     second = train_step()
     for a, b in zip(first, second):  # gradients are overwritten, not accumulated
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("kind", sorted(_LAYER_KINDS))
+def test_layer_declarations_round_trip_the_spec_and_pair_each_parameter_with_its_gradient(kind):
+    spec = {"kind": kind, **_CONTRACT_CASES[kind][0]}
+    layer = layer_from_spec(spec)
+    assert type(layer) is _LAYER_KINDS[kind] and type(layer).KIND == kind
+    assert layer.spec() == spec
+    assert layer_from_spec(layer.spec()).spec() == layer.spec()
+    params, grads = layer.params(), layer.grads()
+    assert len(params) == len(grads) == {"dense": 2, "conv1d": 2, "lstm": 3}.get(kind, 0)
+    for param, grad in zip(params, grads):
+        assert param.shape == grad.shape
+    arrays = params + grads
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[i + 1:])
+
+
+def test_a_layer_spec_without_a_constructor_key_is_a_checkpoint_error(tmp_path):
+    graph = ModelGraph([Dense(3, 2)])
+    specs = [{"kind": "dense", "in": 3}]  # no "out"
+    header = {"format_version": 2, "kind": "dnn_mean", "layers": specs, "seed": 0,
+              "param_count": graph.param_count, "feature_stats": None, "feature_config": None}
+    path = tmp_path / "no-out.ckpt"
+    write_container(path, b"WWCK", header, np.zeros(graph.param_count))
+    with pytest.raises(CheckpointError, match="bad header"):
+        load_checkpoint(path)
+    with pytest.raises(ValueError, match="unknown layer kind 'softmax'"):
+        layer_from_spec({"kind": "softmax"})
 
 
 @pytest.mark.parametrize("kind", ["dense", "conv1d", "lstm"])
