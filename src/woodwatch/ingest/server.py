@@ -14,12 +14,14 @@ handler under one lock. Malformed frames, store failures and broken
 connections are counted, never fatal. A frame must arrive in full within
 IDLE_TIMEOUT_S of the moment the handler starts waiting for it, or the
 connection is closed, so neither a silent client nor one that drips bytes
-can hold a handler thread.
+can hold a handler thread. At most MAX_CONNECTIONS connections are served
+at once; one over the cap is closed on accept and counted.
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import io
 import logging
 import select
@@ -47,6 +49,31 @@ MIN_SAMPLE_RATE = 8_000  # Hz, the range a device stream may declare
 MAX_SAMPLE_RATE = 192_000
 DEFAULT_HOST = "127.0.0.1"
 IDLE_TIMEOUT_S = 30.0  # the time a whole frame may take, counted from when the handler waits for it
+MAX_CONNECTIONS = 256  # served at once: a device sends a clip every 5 s, one core classifies hundreds
+# glibc mallopt (param, value): M_ARENA_MAX 1; M_MMAP_THRESHOLD 32 MiB, glibc's
+# own ceiling for its dynamic threshold on 64-bit; M_TRIM_THRESHOLD never reached
+_MALLOC_POLICY = ((-8, 1), (-3, 32 << 20), (-1, 2**31 - 1))
+
+
+def _keep_malloc_heap() -> None:
+    """Serve every thread's allocations from one glibc heap that is never shrunk.
+
+    The setting is process-wide: it holds for every thread of the process
+    from this call on (one that already has an arena of its own keeps it),
+    and resident memory stays at its peak. Without it each handler thread
+    gets its own arena, which hands a clip's large NumPy temporaries back to
+    the kernel after every clip, so the next clip faults them in again. Where the C library has no ``mallopt`` (not glibc), or a
+    call fails, the allocator keeps its policy.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):  # Windows takes no CDLL(None); macOS has no mallopt
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    for param, value in _MALLOC_POLICY:
+        if not mallopt(param, value):
+            return
 
 
 class _DeviceSession:
@@ -109,6 +136,7 @@ class _Stats:
             "classify_errors": 0,
             "store_errors": 0,
             "connection_errors": 0,
+            "rejected_connections": 0,
         }
 
     def bump(self, key: str, by: int = 1) -> None:
@@ -175,14 +203,22 @@ class _Handler(socketserver.BaseRequestHandler):
 
 
 class _TCPServer(socketserver.ThreadingTCPServer):
-    """Tracks each connection from accept until its handler has returned."""
+    """Tracks each connection from accept until its handler has returned, and
+    closes one over the owner's ``max_connections`` before a thread starts."""
 
     allow_reuse_address = True
     daemon_threads = True
 
     def process_request(self, request, client_address):
-        with self.owner._open_changed:
-            self.owner._open.add(request)
+        owner = self.owner
+        with owner._open_changed:
+            admitted = len(owner._open) < owner.max_connections
+            if admitted:
+                owner._open.add(request)
+        if not admitted:
+            owner.stats.bump("rejected_connections")
+            super().shutdown_request(request)  # never in _open
+            return
         super().process_request(request, client_address)
 
     def shutdown_request(self, request):
@@ -197,13 +233,17 @@ class IngestServer:
 
     def __init__(self, port: int, checkpoint_path: str | Path, store_path: str | Path,
                  archive_dir: str | Path | None = None, clip_seconds: float = CANONICAL_SECONDS,
-                 host: str = DEFAULT_HOST):
+                 host: str = DEFAULT_HOST, max_connections: int = MAX_CONNECTIONS):
         segment_samples(clip_seconds, MIN_SAMPLE_RATE)  # an empty clip would never stop filling
+        if max_connections < 1:
+            raise ValueError(f"max_connections {max_connections} is below 1")
         self.clip_seconds = clip_seconds
+        self.max_connections = max_connections
         self.store_path = Path(store_path)
         self.archive_dir = Path(archive_dir) if archive_dir else None
         self.stats = _Stats()
 
+        _keep_malloc_heap()
         (self._graph, self._kind, self._feature_config, self._stats_norm,
          self._checkpoint_id) = load_model(checkpoint_path)
 

@@ -12,7 +12,7 @@ from woodwatch.container import write_container
 from woodwatch.evaluation import FOLDS, HOLDOUT_RATIO
 from woodwatch.features import FeatureConfig, FeatureSet, load_features, mfcc_frames, save_features
 from woodwatch.ingest.protocol import MAX_PAYLOAD_BYTES
-from woodwatch.ingest.server import DEFAULT_HOST, IngestServer
+from woodwatch.ingest.server import DEFAULT_HOST, MAX_CONNECTIONS, IngestServer
 from woodwatch.ingest.simulator import FRAME_SAMPLES
 from woodwatch.models import ModelKind, TrainConfig, build_model, model_inputs
 from woodwatch.nn import save_checkpoint
@@ -67,6 +67,7 @@ def test_every_default_is_the_librarys():
     assert args["train"]["val_ratio"] == args["compare"]["test_ratio"] == HOLDOUT_RATIO
     assert args["crossval"]["k"] == FOLDS
     assert args["serve"]["host"] == args["simulate-device"]["host"] == DEFAULT_HOST
+    assert args["serve"]["max_connections"] == MAX_CONNECTIONS
     assert args["simulate-device"]["frame_samples"] == FRAME_SAMPLES
     assert args["simulate-device"]["snr_db"] == SynthConfig().snr_db
     assert {cmd: parsed["seed"] for cmd, parsed in args.items()} == dict.fromkeys(args, 0)
@@ -319,8 +320,20 @@ def test_serve_prints_the_port_it_listens_on(capsys, monkeypatch, tmp_path):
     code, out, _ = run_cli(capsys, "serve", "--checkpoint", str(ckpt),
                            "--store", str(tmp_path / "s.jsonl"), "--port", "0")
     assert code == 0
-    last = json.loads(out.strip().splitlines()[-1])
-    assert last["listening"] == DEFAULT_HOST and last["port"] > 0
+    listening, stopped = (json.loads(line) for line in out.strip().splitlines()[-2:])
+    assert listening["listening"] == DEFAULT_HOST and listening["port"] > 0
+    # once run() returns, every counter, as stats.snapshot() holds it
+    counters = ["frames_ok", "integrity_errors", "protocol_errors", "duplicate_frames", "sequence_gaps",
+                "records_written", "classify_errors", "store_errors", "connection_errors",
+                "rejected_connections"]
+    assert stopped == {"stopped": dict.fromkeys(counters, 0)}
+
+
+def test_serve_rejects_a_connection_cap_below_one(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "serve", "--checkpoint", str(tmp_path / "missing.ckpt"),
+                             "--store", str(tmp_path / "s.jsonl"), "--port", "0", "--max-connections", "0")
+    assert code == 2  # before the checkpoint is read: a missing one would say so
+    assert "max_connections 0 is below 1" in err and "listening" not in out
 
 
 def test_crossval_cli(capsys, small_pipeline, tmp_path):

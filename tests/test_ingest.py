@@ -1,17 +1,24 @@
 import json
 import os
+import platform
 import signal
 import socket
 import struct
+import subprocess
+import sys
 import threading
 import time
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from woodwatch.audio import AudioClip, float_to_pcm16, read_wav_pcm16, save_wav
+import woodwatch
+from woodwatch.audio import (CANONICAL_RATE, AudioClip, float_to_pcm16, pcm16_to_float, read_wav_pcm16,
+                             resample_linear, save_wav)
 from woodwatch.errors import ServerStartupError, TransportError
-from woodwatch.features import mfcc_frames
+from woodwatch.features import apply_standardize, mfcc_frames
 from woodwatch.ingest import (
     DetectionRecord,
     IngestServer,
@@ -22,7 +29,7 @@ from woodwatch.ingest import (
 )
 from woodwatch.ingest import server as server_module
 from woodwatch.ingest.protocol import HEADER_SIZE, DeviceFrame, encode_frame
-from woodwatch.models import ModelKind, TrainConfig, build_model, model_inputs, train
+from woodwatch.models import ModelKind, TrainConfig, build_model, load_model, model_inputs, predict, train
 from woodwatch.nn import save_checkpoint
 from woodwatch.synth import SynthConfig, gen_clean_clip, gen_infested_clip
 
@@ -557,3 +564,115 @@ def test_server_startup_errors(served_checkpoint, tmp_path):
     blocker.close()
     with pytest.raises(ServerStartupError):
         IngestServer(0, served_checkpoint, tmp_path / "missing-dir" / "s.jsonl")
+
+
+# -- connection cap ---------------------------------------------------------------------
+
+def test_a_connection_over_the_cap_is_closed_and_counted(served_checkpoint, tmp_path):
+    store = tmp_path / "store.jsonl"
+    server = IngestServer(0, served_checkpoint, store, max_connections=2)
+    server.start()
+    try:
+        pcm = float_to_pcm16(gen_clean_clip(SynthConfig(snr_db=12.0), seed=511).samples)
+        admitted = [socket.create_connection(("127.0.0.1", server.port)) for _ in range(2)]
+        with socket.create_connection(("127.0.0.1", server.port)) as third:
+            third.settimeout(10.0)
+            assert third.recv(1) == b""  # closed on accept, before any handler ran
+        assert server.stats.snapshot()["rejected_connections"] == 1
+        for device_id, conn in zip((31, 32), admitted):
+            with conn:
+                for seq, start in enumerate(range(0, len(pcm), 2500)):
+                    conn.sendall(encode_frame(DeviceFrame(device_id=device_id, seq=seq, sample_rate=16000,
+                                                          payload=pcm[start : start + 2500].tobytes())))
+        assert wait_for(lambda: server.stats.snapshot()["records_written"] == 2)
+        # once their handlers have returned, a new connection is served again
+        simulate_device("127.0.0.1", server.port, AudioClip(pcm16_to_float(pcm), 16000), device_id=33)
+        assert wait_for(lambda: server.stats.snapshot()["records_written"] == 3)
+    finally:
+        server.stop()
+    assert sorted(r.device_id for r in load_store(store)[0]) == [31, 32, 33]
+    assert server.stats.snapshot()["rejected_connections"] == 1
+
+
+# -- malloc policy ------------------------------------------------------------------------
+
+_FAULTS_PER_CLIP_ON_A_THREAD = """
+import resource, sys, threading
+import numpy as np
+from woodwatch.ingest import IngestServer
+
+server = IngestServer(0, sys.argv[1], sys.argv[2])
+rng = np.random.default_rng(0)
+pcm = {rate: (rng.standard_normal(5 * rate) * 3000).astype("<i2") for rate in (48_000, 16_000)}
+for rate in (48_000, 16_000):  # warmed on the main thread, as perfbench's server is
+    server.classify_pcm(pcm[rate], rate)
+faults = []
+
+def handler_like():
+    server.classify_pcm(pcm[48_000], 48_000)
+    before = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt
+    for _ in range(8):
+        server.classify_pcm(pcm[48_000], 48_000)
+    faults.append((resource.getrusage(resource.RUSAGE_THREAD).ru_minflt - before) / 8)
+
+thread = threading.Thread(target=handler_like)
+thread.start()
+thread.join()
+server.stop()
+print(faults[0])
+"""
+
+
+def _glibc_with_thread_rusage() -> bool:
+    try:
+        import resource
+    except ImportError:
+        return False
+    return platform.libc_ver()[0] == "glibc" and hasattr(resource, "RUSAGE_THREAD")
+
+
+@pytest.mark.skipif(not _glibc_with_thread_rusage(), reason="needs glibc's mallopt and RUSAGE_THREAD")
+def test_a_handler_thread_does_not_fault_in_each_clips_arrays_again(tmp_path):
+    # a fresh interpreter: this one already has per-thread arenas from earlier tests
+    ckpt = tmp_path / "untrained.ckpt"
+    save_checkpoint(ckpt, build_model(ModelKind.CNN_LSTM, seed=0), ModelKind.CNN_LSTM.value, seed=0,
+                    feature_stats={"mean": [0.0] * 40, "std": [1.0] * 40})
+    env = dict(os.environ, PYTHONPATH=str(Path(woodwatch.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", _FAULTS_PER_CLIP_ON_A_THREAD, str(ckpt),
+                           str(tmp_path / "s.jsonl")], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert float(done.stdout) < 100  # about 3,000 per 48 kHz clip with one arena per thread
+
+
+def _no_c_library(name):
+    raise OSError("no C library")
+
+
+@pytest.mark.parametrize("cdll", [
+    pytest.param(_no_c_library, id="no-libc"),
+    pytest.param(lambda name: types.SimpleNamespace(), id="no-mallopt"),
+    pytest.param(lambda name: types.SimpleNamespace(mallopt=lambda param, value: 0), id="mallopt-fails"),
+])
+def test_the_server_serves_without_the_malloc_policy(served_checkpoint, tmp_path, monkeypatch, cdll):
+    monkeypatch.setattr(server_module.ctypes, "CDLL", cdll)
+    server = IngestServer(0, served_checkpoint, tmp_path / "store.jsonl")
+    server.start()
+    try:
+        simulate_device("127.0.0.1", server.port, gen_clean_clip(SynthConfig(snr_db=12.0), seed=513),
+                        device_id=34)
+        assert wait_for(lambda: server.stats.snapshot()["records_written"] == 1)
+    finally:
+        server.stop()
+
+
+def test_a_served_clip_scores_bit_equal_to_the_offline_pass(running_server, served_checkpoint):
+    server, store, _ = running_server
+    clip = gen_infested_clip(SynthConfig(sample_rate=48_000, snr_db=12.0), seed=514)
+    simulate_device("127.0.0.1", server.port, clip, device_id=35)
+    assert wait_for(lambda: server.stats.snapshot()["records_written"] == 1)
+    [record] = load_store(store)[0]
+    graph, _, config, stats, _ = load_model(served_checkpoint)
+    sent = AudioClip(pcm16_to_float(float_to_pcm16(clip.samples)), 48_000)
+    matrix = mfcc_frames(resample_linear(sent, CANONICAL_RATE), config)
+    probs, _ = predict(graph, apply_standardize(matrix, stats)[None])
+    assert record.p_infested == float(probs[0, 1])
