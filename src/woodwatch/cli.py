@@ -37,7 +37,7 @@ from .evaluation import (
     stratified_split,
 )
 from .ingest import IngestServer, query_store, simulate_device
-from .ingest.server import DEFAULT_HOST, MAX_CONNECTIONS
+from .ingest.server import DEFAULT_HOST
 from .ingest.simulator import FRAME_SAMPLES
 from .models import ModelKind, TrainConfig, build_model, load_model, model_inputs, predict, to_model_input, train
 from .nn import save_checkpoint
@@ -200,8 +200,7 @@ def _cmd_compare(args) -> int:
 
 def _cmd_serve(args) -> int:
     server = IngestServer(args.port, args.checkpoint, args.store, archive_dir=args.archive_dir,
-                          clip_seconds=args.clip_seconds, host=args.host,
-                          max_connections=args.max_connections)
+                          clip_seconds=args.clip_seconds, host=args.host)
     _print_json({"listening": args.host, "port": server.port})
     server.run()
     _print_json({"stopped": server.stats.snapshot()})
@@ -299,8 +298,6 @@ def build_parser() -> _Parser:
     p.add_argument("--store", required=True, help="JSON-lines detection store")
     p.add_argument("--archive-dir", default=None, help="optional WAV archive directory")
     p.add_argument("--clip-seconds", type=float, default=audio.CANONICAL_SECONDS)
-    p.add_argument("--max-connections", type=int, default=MAX_CONNECTIONS,
-                   help="connections served at once; more are closed on accept")
 
     p = add("simulate-device", _cmd_simulate_device, "stream audio to the server")
     p.add_argument("--host", default=DEFAULT_HOST)

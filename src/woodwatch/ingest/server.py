@@ -15,7 +15,8 @@ connections are counted, never fatal. A frame must arrive in full within
 IDLE_TIMEOUT_S of the moment the handler starts waiting for it, or the
 connection is closed, so neither a silent client nor one that drips bytes
 can hold a handler thread. At most MAX_CONNECTIONS connections are served
-at once; one over the cap is closed on accept and counted.
+at once; one over the cap is closed on accept and counted. At most
+MAX_CLASSIFYING clips are classified at once; the other handlers wait.
 """
 
 from __future__ import annotations
@@ -50,9 +51,14 @@ MAX_SAMPLE_RATE = 192_000
 DEFAULT_HOST = "127.0.0.1"
 IDLE_TIMEOUT_S = 30.0  # the time a whole frame may take, counted from when the handler waits for it
 MAX_CONNECTIONS = 256  # served at once: a device sends a clip every 5 s, one core classifies hundreds
-# glibc mallopt (param, value): M_ARENA_MAX 1; M_MMAP_THRESHOLD 32 MiB, glibc's
-# own ceiling for its dynamic threshold on 64-bit; M_TRIM_THRESHOLD never reached
-_MALLOC_POLICY = ((-8, 1), (-3, 32 << 20), (-1, 2**31 - 1))
+# classify passes at once: the GIL serialises their Python parts, so more gain
+# no throughput, and each holds up to 32 MB of temporaries (a 192 kHz clip)
+MAX_CLASSIFYING = 2
+# glibc mallopt (param, value), applied in this order: M_MMAP_THRESHOLD 32 MiB,
+# glibc's own ceiling for its dynamic threshold on 64-bit, and the one setting
+# it may refuse (above its ceiling, as on 32-bit); M_TRIM_THRESHOLD never
+# reached; M_ARENA_MAX 1, last, since one arena alone still faults
+_MALLOC_POLICY = ((-3, 32 << 20), (-1, 2**31 - 1), (-8, 1))
 
 
 def _keep_malloc_heap() -> None:
@@ -62,8 +68,10 @@ def _keep_malloc_heap() -> None:
     from this call on (one that already has an arena of its own keeps it),
     and resident memory stays at its peak. Without it each handler thread
     gets its own arena, which hands a clip's large NumPy temporaries back to
-    the kernel after every clip, so the next clip faults them in again. Where the C library has no ``mallopt`` (not glibc), or a
-    call fails, the allocator keeps its policy.
+    the kernel after every clip, so the next clip faults them in again.
+    Where the C library has no ``mallopt`` (not glibc) nothing is set. The
+    settings are applied in order and stop at the first that fails, so a
+    refused mmap threshold leaves the allocator as it was.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -204,15 +212,16 @@ class _Handler(socketserver.BaseRequestHandler):
 
 class _TCPServer(socketserver.ThreadingTCPServer):
     """Tracks each connection from accept until its handler has returned, and
-    closes one over the owner's ``max_connections`` before a thread starts."""
+    closes one over ``max_connections`` before a thread starts."""
 
     allow_reuse_address = True
     daemon_threads = True
+    max_connections = MAX_CONNECTIONS
 
     def process_request(self, request, client_address):
         owner = self.owner
         with owner._open_changed:
-            admitted = len(owner._open) < owner.max_connections
+            admitted = len(owner._open) < self.max_connections
             if admitted:
                 owner._open.add(request)
         if not admitted:
@@ -233,12 +242,9 @@ class IngestServer:
 
     def __init__(self, port: int, checkpoint_path: str | Path, store_path: str | Path,
                  archive_dir: str | Path | None = None, clip_seconds: float = CANONICAL_SECONDS,
-                 host: str = DEFAULT_HOST, max_connections: int = MAX_CONNECTIONS):
+                 host: str = DEFAULT_HOST):
         segment_samples(clip_seconds, MIN_SAMPLE_RATE)  # an empty clip would never stop filling
-        if max_connections < 1:
-            raise ValueError(f"max_connections {max_connections} is below 1")
         self.clip_seconds = clip_seconds
-        self.max_connections = max_connections
         self.store_path = Path(store_path)
         self.archive_dir = Path(archive_dir) if archive_dir else None
         self.stats = _Stats()
@@ -263,6 +269,7 @@ class IngestServer:
         self._open: set[socket.socket] = set()
         self._open_changed = threading.Condition()
         self._store_lock = threading.Lock()
+        self._classifying = threading.BoundedSemaphore(MAX_CLASSIFYING)
         self._serve_thread: threading.Thread | None = None
 
     @property
@@ -322,7 +329,8 @@ class IngestServer:
         session.stream_position += len(clip_pcm)
         index = start // len(clip_pcm)
         try:  # a non-finite P(infested) fails in DetectionRecord: counted here too
-            label, p_infested = self.classify_pcm(clip_pcm, session.sample_rate)
+            with self._classifying:
+                label, p_infested = self.classify_pcm(clip_pcm, session.sample_rate)
             record = DetectionRecord(
                 timestamp=datetime.now(timezone.utc).isoformat(),
                 device_id=session.device_id,

@@ -12,7 +12,7 @@ from woodwatch.container import write_container
 from woodwatch.evaluation import FOLDS, HOLDOUT_RATIO
 from woodwatch.features import FeatureConfig, FeatureSet, load_features, mfcc_frames, save_features
 from woodwatch.ingest.protocol import MAX_PAYLOAD_BYTES
-from woodwatch.ingest.server import DEFAULT_HOST, MAX_CONNECTIONS, IngestServer
+from woodwatch.ingest.server import DEFAULT_HOST, IngestServer
 from woodwatch.ingest.simulator import FRAME_SAMPLES
 from woodwatch.models import ModelKind, TrainConfig, build_model, model_inputs
 from woodwatch.nn import save_checkpoint
@@ -67,7 +67,6 @@ def test_every_default_is_the_librarys():
     assert args["train"]["val_ratio"] == args["compare"]["test_ratio"] == HOLDOUT_RATIO
     assert args["crossval"]["k"] == FOLDS
     assert args["serve"]["host"] == args["simulate-device"]["host"] == DEFAULT_HOST
-    assert args["serve"]["max_connections"] == MAX_CONNECTIONS
     assert args["simulate-device"]["frame_samples"] == FRAME_SAMPLES
     assert args["simulate-device"]["snr_db"] == SynthConfig().snr_db
     assert {cmd: parsed["seed"] for cmd, parsed in args.items()} == dict.fromkeys(args, 0)
@@ -327,13 +326,6 @@ def test_serve_prints_the_port_it_listens_on(capsys, monkeypatch, tmp_path):
                 "records_written", "classify_errors", "store_errors", "connection_errors",
                 "rejected_connections"]
     assert stopped == {"stopped": dict.fromkeys(counters, 0)}
-
-
-def test_serve_rejects_a_connection_cap_below_one(capsys, tmp_path):
-    code, out, err = run_cli(capsys, "serve", "--checkpoint", str(tmp_path / "missing.ckpt"),
-                             "--store", str(tmp_path / "s.jsonl"), "--port", "0", "--max-connections", "0")
-    assert code == 2  # before the checkpoint is read: a missing one would say so
-    assert "max_connections 0 is below 1" in err and "listening" not in out
 
 
 def test_crossval_cli(capsys, small_pipeline, tmp_path):

@@ -568,9 +568,10 @@ def test_server_startup_errors(served_checkpoint, tmp_path):
 
 # -- connection cap ---------------------------------------------------------------------
 
-def test_a_connection_over_the_cap_is_closed_and_counted(served_checkpoint, tmp_path):
+def test_a_connection_over_the_cap_is_closed_and_counted(served_checkpoint, tmp_path, monkeypatch):
+    monkeypatch.setattr(server_module._TCPServer, "max_connections", 2)
     store = tmp_path / "store.jsonl"
-    server = IngestServer(0, served_checkpoint, store, max_connections=2)
+    server = IngestServer(0, served_checkpoint, store)
     server.start()
     try:
         pcm = float_to_pcm16(gen_clean_clip(SynthConfig(snr_db=12.0), seed=511).samples)
@@ -592,6 +593,39 @@ def test_a_connection_over_the_cap_is_closed_and_counted(served_checkpoint, tmp_
         server.stop()
     assert sorted(r.device_id for r in load_store(store)[0]) == [31, 32, 33]
     assert server.stats.snapshot()["rejected_connections"] == 1
+
+
+def test_at_most_max_classifying_clips_are_classified_at_once(served_checkpoint, tmp_path, monkeypatch):
+    running, most = [0], [0]
+    lock = threading.Lock()
+    classify = IngestServer.classify_pcm
+
+    def counted(self, pcm, sample_rate):
+        with lock:
+            running[0] += 1
+            most[0] = max(most[0], running[0])
+        time.sleep(0.2)  # long enough for every handler to get here
+        try:
+            return classify(self, pcm, sample_rate)
+        finally:
+            with lock:
+                running[0] -= 1
+
+    monkeypatch.setattr(IngestServer, "classify_pcm", counted)
+    server = IngestServer(0, served_checkpoint, tmp_path / "store.jsonl")
+    server.start()
+    try:
+        clip = gen_clean_clip(SynthConfig(snr_db=12.0), seed=515)
+        senders = [threading.Thread(target=simulate_device, args=("127.0.0.1", server.port, clip, 40 + i))
+                   for i in range(server_module.MAX_CLASSIFYING + 2)]
+        for sender in senders:
+            sender.start()
+        for sender in senders:
+            sender.join()
+        assert wait_for(lambda: server.stats.snapshot()["records_written"] == len(senders))
+    finally:
+        server.stop()
+    assert most[0] == server_module.MAX_CLASSIFYING
 
 
 # -- malloc policy ------------------------------------------------------------------------
@@ -648,14 +682,22 @@ def _no_c_library(name):
     raise OSError("no C library")
 
 
-@pytest.mark.parametrize("cdll", [
-    pytest.param(_no_c_library, id="no-libc"),
-    pytest.param(lambda name: types.SimpleNamespace(), id="no-mallopt"),
-    pytest.param(lambda name: types.SimpleNamespace(mallopt=lambda param, value: 0), id="mallopt-fails"),
+def _refusing_mallopt(calls):
+    return lambda name: types.SimpleNamespace(mallopt=lambda param, value: calls.append((param, value)) or 0)
+
+
+@pytest.mark.parametrize("library, made_calls", [
+    pytest.param(lambda calls: _no_c_library, [], id="no-libc"),
+    pytest.param(lambda calls: lambda name: types.SimpleNamespace(), [], id="no-mallopt"),
+    # M_MMAP_THRESHOLD goes first, so its refusal sets nothing: M_ARENA_MAX 1 alone would still fault
+    pytest.param(_refusing_mallopt, [(-3, 32 << 20)], id="mallopt-fails"),
 ])
-def test_the_server_serves_without_the_malloc_policy(served_checkpoint, tmp_path, monkeypatch, cdll):
-    monkeypatch.setattr(server_module.ctypes, "CDLL", cdll)
+def test_the_server_serves_without_the_malloc_policy(served_checkpoint, tmp_path, monkeypatch, library,
+                                                     made_calls):
+    calls = []
+    monkeypatch.setattr(server_module.ctypes, "CDLL", library(calls))
     server = IngestServer(0, served_checkpoint, tmp_path / "store.jsonl")
+    assert calls == made_calls
     server.start()
     try:
         simulate_device("127.0.0.1", server.port, gen_clean_clip(SynthConfig(snr_db=12.0), seed=513),
