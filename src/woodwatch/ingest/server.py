@@ -1,22 +1,25 @@
 """Concurrent TCP ingestion: assemble device streams into clips, classify, persist.
 
-One session per device connection. Validated frames are appended to the
-device's sample buffer in sequence order; sequence gaps are zero-filled
-(sized by the revealing frame) and counted, duplicates are dropped. A gap
-whose fill would exceed one clip is a protocol error that ends the
-connection, so one frame cannot make the server allocate without bound. So
-is a first frame whose sample rate lies outside 8-192 kHz: at an absurd
-rate a clip never fills, or one frame makes thousands of clips. Every time
-a full clip's worth of samples accumulates, the clip is resampled to the
-canonical rate if needed, featurized, classified with the loaded
-checkpoint, and appended to the JSON-lines store by the connection's own
-handler under one lock. Malformed frames, store failures and broken
-connections are counted, never fatal. A frame must arrive in full within
-IDLE_TIMEOUT_S of the moment the handler starts waiting for it, or the
+``IngestServer`` owns the whole connection lifecycle. One accept thread
+waits on the listening socket, looking at ``stop()`` every _POLL_S, and
+starts one thread per device connection; one over MAX_CONNECTIONS is closed
+on accept and counted. Validated frames are appended to the device's sample
+buffer in sequence order; sequence gaps are zero-filled (sized by the
+revealing frame) and counted, duplicates are dropped. A gap whose fill
+would exceed one clip is a protocol error that ends the connection, so one
+frame cannot make the server allocate without bound. So is a first frame
+whose sample rate lies outside 8-192 kHz: at an absurd rate a clip never
+fills, or one frame makes thousands of clips. Every time a full clip's
+worth of samples accumulates, the clip is resampled to the canonical rate
+if needed, featurized, classified with the loaded checkpoint, and appended
+to the JSON-lines store by the connection's own thread under one lock.
+Malformed frames, a frame cut by a close, store failures and broken
+connections are counted, never fatal, and so are the samples of a partial
+clip a connection holds when it ends. A frame must arrive in full within
+IDLE_TIMEOUT_S of the moment the connection starts waiting for it, or the
 connection is closed, so neither a silent client nor one that drips bytes
-can hold a handler thread. At most MAX_CONNECTIONS connections are served
-at once; one over the cap is closed on accept and counted. At most
-MAX_CLASSIFYING clips are classified at once; the other handlers wait.
+can hold a thread. At most MAX_CLASSIFYING clips are classified at once;
+the other connections wait.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ import io
 import logging
 import select
 import socket
-import socketserver
 import threading
 import time
 from datetime import datetime, timezone
@@ -46,10 +48,11 @@ from .store import DetectionRecord, append_records
 log = logging.getLogger(__name__)
 
 _DRAIN_S = 3.0  # how long stop() lets open connections end on their own
+_POLL_S = 0.5  # how long the accept loop waits for a connection before it checks for stop()
 MIN_SAMPLE_RATE = 8_000  # Hz, the range a device stream may declare
 MAX_SAMPLE_RATE = 192_000
 DEFAULT_HOST = "127.0.0.1"
-IDLE_TIMEOUT_S = 30.0  # the time a whole frame may take, counted from when the handler waits for it
+IDLE_TIMEOUT_S = 30.0  # the time a whole frame may take, counted from when the connection waits for it
 MAX_CONNECTIONS = 256  # served at once: a device sends a clip every 5 s, one core classifies hundreds
 # classify passes at once: the GIL serialises their Python parts, so more gain
 # no throughput, and each holds up to 32 MB of temporaries (a 192 kHz clip)
@@ -66,7 +69,7 @@ def _keep_malloc_heap() -> None:
 
     The setting is process-wide: it holds for every thread of the process
     from this call on (one that already has an arena of its own keeps it),
-    and resident memory stays at its peak. Without it each handler thread
+    and resident memory stays at its peak. Without it each connection thread
     gets its own arena, which hands a clip's large NumPy temporaries back to
     the kernel after every clip, so the next clip faults them in again.
     Where the C library has no ``mallopt`` (not glibc) nothing is set. The
@@ -138,11 +141,13 @@ class _Stats:
             "frames_ok": 0,
             "integrity_errors": 0,
             "protocol_errors": 0,
+            "truncated_frames": 0,
             "duplicate_frames": 0,
             "sequence_gaps": 0,
             "records_written": 0,
             "classify_errors": 0,
             "store_errors": 0,
+            "dropped_samples": 0,
             "connection_errors": 0,
             "rejected_connections": 0,
         }
@@ -180,63 +185,6 @@ class _FrameDeadlineReader:
         return piece
 
 
-class _Handler(socketserver.BaseRequestHandler):
-    timeout = IDLE_TIMEOUT_S  # the time each frame may take
-
-    def handle(self):
-        server: IngestServer = self.server.owner
-        session = _DeviceSession(server.clip_seconds)
-        stream = _FrameDeadlineReader(self.request)
-        while True:
-            stream.deadline = time.monotonic() + self.timeout
-            try:
-                frame = protocol.read_frame(stream)
-                if frame is None:
-                    break
-                server.stats.bump("frames_ok")
-                clips = session.accept(frame, server.stats)
-            except IntegrityError:
-                server.stats.bump("integrity_errors")
-                continue
-            except TruncationError:
-                break
-            except ProtocolError:
-                server.stats.bump("protocol_errors")
-                break  # cannot resync after a framing violation, a bad rate or an oversized gap
-            except OSError:  # TimeoutError at the frame's deadline, or a reset
-                server.stats.bump("connection_errors")
-                break
-            for clip_pcm in clips:
-                server.process_clip(session, clip_pcm)
-
-
-class _TCPServer(socketserver.ThreadingTCPServer):
-    """Tracks each connection from accept until its handler has returned, and
-    closes one over ``max_connections`` before a thread starts."""
-
-    allow_reuse_address = True
-    daemon_threads = True
-    max_connections = MAX_CONNECTIONS
-
-    def process_request(self, request, client_address):
-        owner = self.owner
-        with owner._open_changed:
-            admitted = len(owner._open) < self.max_connections
-            if admitted:
-                owner._open.add(request)
-        if not admitted:
-            owner.stats.bump("rejected_connections")
-            super().shutdown_request(request)  # never in _open
-            return
-        super().process_request(request, client_address)
-
-    def shutdown_request(self, request):
-        super().shutdown_request(request)
-        with self.owner._open_changed:
-            self.owner._open.discard(request)
-            self.owner._open_changed.notify_all()
-
-
 class IngestServer:
     """Owns the socket, the classifier and the store."""
 
@@ -262,24 +210,21 @@ class IngestServer:
             self.archive_dir.mkdir(parents=True, exist_ok=True)
 
         try:
-            self._tcp = _TCPServer((host, port), _Handler)
+            self._sock = socket.create_server((host, port))
         except OSError as exc:
             raise ServerStartupError(f"cannot bind {host}:{port}: {exc}") from exc
-        self._tcp.owner = self
+        self.port: int = self._sock.getsockname()[1]
+        self._stopping = threading.Event()
         self._open: set[socket.socket] = set()
         self._open_changed = threading.Condition()
         self._store_lock = threading.Lock()
         self._classifying = threading.BoundedSemaphore(MAX_CLASSIFYING)
-        self._serve_thread: threading.Thread | None = None
-
-    @property
-    def port(self) -> int:
-        return self._tcp.server_address[1]
+        self._accept_thread: threading.Thread | None = None
 
     def start(self) -> None:
-        self._serve_thread = threading.Thread(target=self._tcp.serve_forever,
-                                              name="ingest-accept", daemon=True)
-        self._serve_thread.start()
+        self._accept_thread = threading.Thread(target=self._accept_until_stopped,
+                                               name="ingest-accept", daemon=True)
+        self._accept_thread.start()
 
     def run(self) -> None:
         """Serve until interrupted (Ctrl-C), then stop."""
@@ -294,23 +239,81 @@ class IngestServer:
     def stop(self) -> None:
         """Stop accepting, end every connection, close the socket.
 
-        Each handler stores its own clips, so once every handler has
-        returned every complete clip is on disk. Connections still open
-        after ``_DRAIN_S`` (idle or endless clients) are shut down; only
-        their partial clips are dropped.
+        Each connection stores its own clips, so once every connection has
+        ended every complete clip is on disk. Connections still open after
+        ``_DRAIN_S`` (idle or endless clients) are shut down; their partial
+        clips are dropped and counted in ``dropped_samples``.
         """
-        if self._serve_thread:  # shutdown() waits for a serve_forever loop
-            self._tcp.shutdown()
-            self._serve_thread.join(timeout=5)
-        while select.select([self._tcp], [], [], 0)[0]:  # connected, not yet accepted
-            self._tcp.handle_request()
+        self._stopping.set()
+        if self._accept_thread:
+            self._accept_thread.join()
+        self._accept_waiting(0)  # connected, not yet accepted
         with self._open_changed:
             if not self._open_changed.wait_for(lambda: not self._open, timeout=_DRAIN_S):
                 for conn in self._open:
                     with contextlib.suppress(OSError):  # the client may have reset it
                         conn.shutdown(socket.SHUT_RDWR)
                 self._open_changed.wait_for(lambda: not self._open, timeout=_DRAIN_S)
-        self._tcp.server_close()
+        self._sock.close()
+
+    def _accept_until_stopped(self) -> None:
+        while not self._stopping.is_set():
+            self._accept_waiting(_POLL_S)
+
+    def _accept_waiting(self, timeout: float) -> None:
+        """Accept every connection waiting, or arriving within ``timeout`` s: serve each
+        on a thread of its own, or close and count it when MAX_CONNECTIONS are open."""
+        while select.select([self._sock], [], [], timeout)[0]:
+            timeout = 0
+            try:
+                conn, _ = self._sock.accept()
+            except OSError:  # e.g. ECONNABORTED, the client gone before it was accepted
+                self.stats.bump("connection_errors")
+                return  # not continue: an accept that keeps failing (EMFILE) must not hide stop()
+            with self._open_changed:
+                admitted = len(self._open) < MAX_CONNECTIONS
+                if admitted:
+                    self._open.add(conn)
+            if not admitted:
+                self.stats.bump("rejected_connections")
+                conn.close()
+                continue
+            threading.Thread(target=self._serve, args=(conn,), name="ingest-connection",
+                             daemon=True).start()
+
+    def _serve(self, conn: socket.socket) -> None:
+        """Read one device's frames, classifying and storing each clip, until the stream ends."""
+        session = _DeviceSession(self.clip_seconds)
+        stream = _FrameDeadlineReader(conn)
+        try:
+            while True:
+                stream.deadline = time.monotonic() + IDLE_TIMEOUT_S
+                try:
+                    frame = protocol.read_frame(stream)
+                    if frame is None:
+                        break
+                    self.stats.bump("frames_ok")
+                    clips = session.accept(frame, self.stats)
+                except IntegrityError:
+                    self.stats.bump("integrity_errors")
+                    continue
+                except TruncationError:
+                    self.stats.bump("truncated_frames")
+                    break
+                except ProtocolError:
+                    self.stats.bump("protocol_errors")
+                    break  # cannot resync after a framing violation, a bad rate or an oversized gap
+                except OSError:  # TimeoutError at the frame's deadline, or a reset
+                    self.stats.bump("connection_errors")
+                    break
+                for clip_pcm in clips:
+                    self.process_clip(session, clip_pcm)
+        finally:
+            self.stats.bump("dropped_samples", len(session.pending) // 2)
+            conn.close()
+            with self._open_changed:
+                self._open.discard(conn)
+                self._open_changed.notify_all()
 
     # -- classification path -------------------------------------------------
 

@@ -191,6 +191,16 @@ def wait_for(predicate, timeout=20.0):
     return False
 
 
+@pytest.fixture(autouse=True)
+def no_server_thread_outlives_its_test():
+    yield
+
+    def alive():
+        return [t.name for t in threading.enumerate() if t.name in ("ingest-accept", "ingest-connection")]
+
+    assert wait_for(lambda: not alive(), timeout=1.0), f"server threads still running: {alive()}"
+
+
 # -- simulator + server end to end ----------------------------------------------------
 
 def test_single_device_end_to_end(running_server, tmp_path):
@@ -349,7 +359,7 @@ def test_sample_rate_outside_the_range_ends_the_connection(running_server, rate)
 
 def test_idle_connection_times_out_and_is_counted(running_server, monkeypatch):
     server, store, _ = running_server
-    monkeypatch.setattr(server_module._Handler, "timeout", 0.2)
+    monkeypatch.setattr(server_module, "IDLE_TIMEOUT_S", 0.2)
     with socket.create_connection(("127.0.0.1", server.port)) as conn:
         conn.settimeout(10.0)
         assert conn.recv(1) == b""  # the handler returned and closed its end
@@ -363,7 +373,7 @@ def test_idle_connection_times_out_and_is_counted(running_server, monkeypatch):
 def test_a_client_that_drips_a_frame_is_closed_at_the_frame_deadline(served_checkpoint, tmp_path,
                                                                      monkeypatch):
     timeout = 0.5
-    monkeypatch.setattr(server_module._Handler, "timeout", timeout)
+    monkeypatch.setattr(server_module, "IDLE_TIMEOUT_S", timeout)
     server = IngestServer(0, served_checkpoint, tmp_path / "store.jsonl")
     server.start()
     frame = encode_frame(DeviceFrame(device_id=18, seq=0, sample_rate=16000, payload=bytes(200)))
@@ -569,7 +579,7 @@ def test_server_startup_errors(served_checkpoint, tmp_path):
 # -- connection cap ---------------------------------------------------------------------
 
 def test_a_connection_over_the_cap_is_closed_and_counted(served_checkpoint, tmp_path, monkeypatch):
-    monkeypatch.setattr(server_module._TCPServer, "max_connections", 2)
+    monkeypatch.setattr(server_module, "MAX_CONNECTIONS", 2)
     store = tmp_path / "store.jsonl"
     server = IngestServer(0, served_checkpoint, store)
     server.start()
@@ -626,6 +636,174 @@ def test_at_most_max_classifying_clips_are_classified_at_once(served_checkpoint,
     finally:
         server.stop()
     assert most[0] == server_module.MAX_CLASSIFYING
+
+
+# -- connection lifecycle -----------------------------------------------------------------
+
+def frames_of(device_id, pcm, rate=16_000, frame_samples=2500):
+    return [encode_frame(DeviceFrame(device_id=device_id, seq=seq, sample_rate=rate,
+                                     payload=pcm[start : start + frame_samples].tobytes()))
+            for seq, start in enumerate(range(0, len(pcm), frame_samples))]
+
+
+class _AbortsFirstAccept:
+    """A listening socket whose first ``accept`` fails as if the client had gone before it."""
+
+    def __init__(self, sock):
+        self._sock, self.aborted = sock, False
+
+    def accept(self):
+        if not self.aborted:
+            self.aborted = True
+            raise ConnectionAbortedError("software caused connection abort")
+        return self._sock.accept()
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+def test_an_accept_failure_is_counted_and_the_server_goes_on(served_checkpoint, tmp_path):
+    server = IngestServer(0, served_checkpoint, tmp_path / "store.jsonl")
+    server._sock = _AbortsFirstAccept(server._sock)
+    server.start()
+    try:
+        simulate_device("127.0.0.1", server.port, gen_clean_clip(SynthConfig(snr_db=12.0), seed=516),
+                        device_id=36)
+        assert wait_for(lambda: server.stats.snapshot()["records_written"] == 1)
+    finally:
+        server.stop()
+    assert server._sock.aborted and server.stats.snapshot()["connection_errors"] == 1
+
+
+def test_a_close_counts_the_frame_it_cuts_and_the_samples_it_drops(running_server):
+    server, _, _ = running_server
+    pcm = np.arange(4 * 2500, dtype="<i2")
+    with socket.create_connection(("127.0.0.1", server.port)) as a:  # ends at a frame boundary
+        a.sendall(b"".join(frames_of(37, pcm)[:3]))
+    with socket.create_connection(("127.0.0.1", server.port)) as b:  # ends inside its second frame
+        first, second = frames_of(38, pcm)[:2]
+        b.sendall(first + second[: len(second) // 2])
+    expected = dict.fromkeys(server.stats.snapshot(), 0)
+    expected.update(frames_ok=4, truncated_frames=1, dropped_samples=3 * 2500 + 2500)
+    assert wait_for(lambda: server.stats.snapshot() == expected), server.stats.snapshot()
+
+
+@pytest.fixture()
+def frequent_thread_switches():
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)  # 50 times as often as the default: a lost update shows sooner
+    yield
+    sys.setswitchinterval(interval)
+
+
+def test_a_hostile_mix_is_served_counted_and_stopped(served_checkpoint, tmp_path, monkeypatch,
+                                                     frequent_thread_switches):
+    cap, over_cap = 10, 5
+    monkeypatch.setattr(server_module, "MAX_CONNECTIONS", cap)
+    monkeypatch.setattr(server_module, "IDLE_TIMEOUT_S", 1.5)
+    monkeypatch.setattr(server_module, "_DRAIN_S", 1.0)
+    rng = np.random.default_rng(517)
+
+    def source(rate=16_000):
+        return (rng.standard_normal(5 * rate) * 3000).astype("<i2")
+
+    def zeroed(pcm, *seqs):
+        pcm = pcm.copy()
+        for seq in seqs:
+            pcm[seq * 2500 : (seq + 1) * 2500] = 0
+        return pcm
+
+    scripts, clips = {}, {}  # device -> the bytes it sends before it closes; the clip its record scores
+    for device_id, rate, frame_samples in ((51, 16_000, 2500), (52, 48_000, 4800), (53, 192_000, 9600)):
+        clips[device_id] = source(rate), rate
+        scripts[device_id] = b"".join(frames_of(device_id, clips[device_id][0], rate, frame_samples))
+    for device_id in (55, 56, 57, 58):
+        clips[device_id] = source(), 16_000
+    frames = frames_of(55, clips[55][0])
+    corrupted = bytearray(frames[0])
+    corrupted[30] ^= 0x01  # a payload bit: the CRC fails
+    scripts[55] = bytes(corrupted) + b"".join(frames)
+    frames = frames_of(56, clips[56][0])
+    scripts[56] = b"".join(frames) + frames[5]  # a duplicate
+    frames = frames_of(57, clips[57][0])
+    scripts[57] = b"".join(frames[:3] + frames[4:])  # seq 3 lost: zero-filled
+    clips[57] = zeroed(clips[57][0], 3), 16_000
+    frames = frames_of(58, clips[58][0])
+    frames[5] = frames_of(58, clips[58][0], rate=48_000)[5]  # refused, then zero-filled
+    scripts[58] = b"".join(frames)
+    clips[58] = zeroed(clips[58][0], 5), 16_000
+    scripts[59] = b"".join(frames_of(59, source())[:10])  # closes at a frame boundary
+    frames = frames_of(60, source())[:11]
+    scripts[60] = b"".join(frames)[: -len(frames[10]) // 2]  # closes inside its 11th frame
+    drip_frame = frames_of(54, source())[0]
+
+    store = tmp_path / "store.jsonl"
+    server = IngestServer(0, served_checkpoint, store)
+    server.start()
+    try:
+        conns = {device_id: socket.create_connection(("127.0.0.1", server.port)) for device_id in [*scripts, 54]}
+        assert wait_for(lambda: len(server._open) == cap)
+        for _ in range(over_cap):
+            with socket.create_connection(("127.0.0.1", server.port)) as extra:
+                extra.settimeout(10.0)
+                assert extra.recv(1) == b""  # closed on accept
+
+        def send(device_id):
+            with conns[device_id] as conn:
+                conn.sendall(scripts[device_id])
+
+        done = threading.Event()
+
+        def drip():  # one byte every 0.2 s: closed at its frame deadline
+            with conns[54] as conn:
+                for byte in drip_frame:
+                    try:
+                        conn.sendall(bytes([byte]))
+                    except OSError:
+                        return
+                    if done.wait(0.2):
+                        return
+
+        clients = [threading.Thread(target=send, args=(device_id,)) for device_id in scripts]
+        clients.append(threading.Thread(target=drip))
+        for client in clients:
+            client.start()
+        assert wait_for(lambda: not server._open)  # every connection ended on its own
+        done.set()
+        for client in clients:
+            client.join(timeout=5.0)
+        assert not any(client.is_alive() for client in clients)
+
+        # read per frame: a client that connects now outlasts the drain, so stop() cuts it
+        monkeypatch.setattr(server_module, "IDLE_TIMEOUT_S", 30.0)
+        held = socket.create_connection(("127.0.0.1", server.port))
+        held.sendall(b"".join(frames_of(61, source())[:4]))
+        frames_ok = 32 + 50 + 100 + 32 + 33 + 31 + 32 + 10 + 10 + 4
+        assert wait_for(lambda: server.stats.snapshot()["frames_ok"] == frames_ok)
+        start = time.monotonic()
+    finally:
+        server.stop()
+    stopped_in = time.monotonic() - start
+    held.close()
+
+    assert stopped_in < 2 * server_module._DRAIN_S + 1
+    assert not server._open
+    expected = dict.fromkeys(server.stats.snapshot(), 0)
+    expected.update(frames_ok=frames_ok, integrity_errors=1, protocol_errors=1, truncated_frames=1,
+                    duplicate_frames=1, sequence_gaps=2, records_written=len(clips),
+                    dropped_samples=10 * 2500 + 10 * 2500 + 4 * 2500,  # devices 59, 60 and 61
+                    connection_errors=1, rejected_connections=over_cap)
+    assert server.stats.snapshot() == expected
+    records, corrupt = load_store(store)
+    assert corrupt == 0 and sorted(r.device_id for r in records) == sorted(clips)
+    graph, _, config, stats, _ = load_model(served_checkpoint)
+    for record in records:
+        pcm, rate = clips[record.device_id]
+        clip = AudioClip(pcm16_to_float(pcm), rate)
+        if rate != CANONICAL_RATE:
+            clip = resample_linear(clip, CANONICAL_RATE)
+        probs, _ = predict(graph, apply_standardize(mfcc_frames(clip, config), stats)[None])
+        assert record.p_infested == float(probs[0, 1])
 
 
 # -- malloc policy ------------------------------------------------------------------------
