@@ -103,7 +103,7 @@ def _cmd_extract(args) -> int:
     for wav_path in wavs:
         clip = audio.load_wav(wav_path)
         clip = audio.resample_linear(clip, audio.CANONICAL_RATE)
-        segments = audio.segment_clip(clip, args.clip_seconds)
+        segments = audio.segment_clip(clip, audio.CANONICAL_SECONDS)
         label = codes.get(wav_path.parent.name, -1)
         for k, segment in enumerate(segments):
             suffix = f"#{k}" if len(segments) > 1 else ""
@@ -199,8 +199,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    server = IngestServer(args.port, args.checkpoint, args.store, archive_dir=args.archive_dir,
-                          clip_seconds=args.clip_seconds, host=args.host)
+    server = IngestServer(args.port, args.checkpoint, args.store, archive_dir=args.archive_dir, host=args.host)
     _print_json({"listening": args.host, "port": server.port})
     server.run()
     _print_json({"stopped": server.stats.snapshot()})
@@ -258,7 +257,6 @@ def build_parser() -> _Parser:
     p = add("extract", _cmd_extract, "extract MFCC features from a WAV directory")
     p.add_argument("--dataset", required=True)
     p.add_argument("--out", required=True, help="binary feature dump path")
-    p.add_argument("--clip-seconds", type=float, default=audio.CANONICAL_SECONDS)
 
     p = add("train", _cmd_train, "train one model kind on a feature dump")
     p.add_argument("--features", required=True)
@@ -297,7 +295,6 @@ def build_parser() -> _Parser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--store", required=True, help="JSON-lines detection store")
     p.add_argument("--archive-dir", default=None, help="optional WAV archive directory")
-    p.add_argument("--clip-seconds", type=float, default=audio.CANONICAL_SECONDS)
 
     p = add("simulate-device", _cmd_simulate_device, "stream audio to the server")
     p.add_argument("--host", default=DEFAULT_HOST)

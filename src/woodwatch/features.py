@@ -184,7 +184,7 @@ def _mel_filterbank_csr(cfg: FeatureConfig, sample_rate: int) -> scipy.sparse.cs
     return scipy.sparse.csr_array(mel_filterbank(cfg, sample_rate))
 
 
-def power_to_db(power, log_floor: float = 1e-10):
+def power_to_db(power, log_floor: float = FeatureConfig.log_floor):
     """10*log10(max(power, floor)). No top-end dynamic-range clamp."""
     return 10.0 * np.log10(np.maximum(power, log_floor))
 

@@ -9,10 +9,12 @@ revealing frame) and counted, duplicates are dropped. A gap whose fill
 would exceed one clip is a protocol error that ends the connection, so one
 frame cannot make the server allocate without bound. So is a first frame
 whose sample rate lies outside 8-192 kHz: at an absurd rate a clip never
-fills, or one frame makes thousands of clips. Every time a full clip's
-worth of samples accumulates, the clip is resampled to the canonical rate
-if needed, featurized, classified with the loaded checkpoint, and appended
-to the JSON-lines store by the connection's own thread under one lock.
+fills, or one frame makes thousands of clips. Every time a full clip
+(CANONICAL_SECONDS of samples, the window ``extract`` cuts for training)
+accumulates, the clip is resampled to the canonical rate if needed,
+featurized, classified with the loaded checkpoint, and appended to the
+JSON-lines store by the connection's own thread under one lock. An
+archived clip never replaces an earlier one of the same name.
 Malformed frames, a frame cut by a close, store failures and broken
 connections are counted, never fatal, and so are the samples of a partial
 clip a connection holds when it ends. A frame must arrive in full within
@@ -27,6 +29,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import io
+import itertools
 import logging
 import select
 import socket
@@ -87,14 +90,27 @@ def _keep_malloc_heap() -> None:
             return
 
 
+def _claim_wav_path(directory: Path, stem: str) -> Path:
+    """Create and return ``{stem}.wav``, or the first free ``{stem}-{n}.wav``
+    (n = 1, 2, ...) when that name is taken: a device that reconnects, and a
+    restarted server, number clips from 0 again, and two connections may
+    share a device id. Exclusive create makes the claim atomic."""
+    for n in itertools.count():
+        path = directory / (f"{stem}-{n}.wav" if n else f"{stem}.wav")
+        try:
+            open(path, "xb").close()
+        except FileExistsError:
+            continue
+        return path
+
+
 class _DeviceSession:
     """Reassembly state for one device connection."""
 
-    def __init__(self, clip_seconds: float):
-        self.clip_seconds = clip_seconds
+    def __init__(self):
         self.device_id: int | None = None
         self.sample_rate: int | None = None
-        self.clip_bytes = 0  # set from the first frame's rate
+        self.clip_bytes = 0  # CANONICAL_SECONDS of samples, at the first frame's rate
         self.next_seq = 0
         self.pending = bytearray()  # PCM bytes not yet cut into a clip
         self.stream_position = 0  # absolute sample index of the next clip start
@@ -111,7 +127,7 @@ class _DeviceSession:
                                     f"{MIN_SAMPLE_RATE}-{MAX_SAMPLE_RATE} Hz")
             self.device_id = frame.device_id
             self.sample_rate = frame.sample_rate
-            self.clip_bytes = 2 * segment_samples(self.clip_seconds, frame.sample_rate)
+            self.clip_bytes = 2 * segment_samples(CANONICAL_SECONDS, frame.sample_rate)
         if frame.device_id != self.device_id or frame.sample_rate != self.sample_rate:
             stats.bump("protocol_errors")
             return []
@@ -188,11 +204,10 @@ class _FrameDeadlineReader:
 class IngestServer:
     """Owns the socket, the classifier and the store."""
 
+    clip_seconds = CANONICAL_SECONDS  # the window each clip covers, as ``extract`` cuts it
+
     def __init__(self, port: int, checkpoint_path: str | Path, store_path: str | Path,
-                 archive_dir: str | Path | None = None, clip_seconds: float = CANONICAL_SECONDS,
-                 host: str = DEFAULT_HOST):
-        segment_samples(clip_seconds, MIN_SAMPLE_RATE)  # an empty clip would never stop filling
-        self.clip_seconds = clip_seconds
+                 archive_dir: str | Path | None = None, host: str = DEFAULT_HOST):
         self.store_path = Path(store_path)
         self.archive_dir = Path(archive_dir) if archive_dir else None
         self.stats = _Stats()
@@ -283,7 +298,7 @@ class IngestServer:
 
     def _serve(self, conn: socket.socket) -> None:
         """Read one device's frames, classifying and storing each clip, until the stream ends."""
-        session = _DeviceSession(self.clip_seconds)
+        session = _DeviceSession()
         stream = _FrameDeadlineReader(conn)
         try:
             while True:
@@ -350,7 +365,7 @@ class IngestServer:
         try:
             if self.archive_dir:
                 clip = AudioClip(pcm16_to_float(clip_pcm), session.sample_rate)
-                save_wav(clip, self.archive_dir / f"device{session.device_id}_clip{index:04d}.wav")
+                save_wav(clip, _claim_wav_path(self.archive_dir, f"device{session.device_id}_clip{index:04d}"))
             with self._store_lock:
                 append_records(self.store_path, [record])
         except OSError:

@@ -1,4 +1,6 @@
 import os
+import threading
+import time
 
 # OpenBLAS reads this once, at load: one BLAS thread per call is the setting
 # the benchmark uses and the one under which comparative_report and
@@ -33,3 +35,22 @@ def make_feature_set(n_per_class: int, duration_s: float = 1.25, snr_db: float =
 @pytest.fixture(scope="session")
 def tiny_features() -> FeatureSet:
     return make_feature_set(8, seed=101)
+
+
+def wait_for(predicate, timeout=20.0):
+    deadline = time.time() + timeout
+    while time.time() < deadline:
+        if predicate():
+            return True
+        time.sleep(0.05)
+    return False
+
+
+@pytest.fixture(autouse=True)
+def no_server_thread_outlives_its_test():
+    yield
+
+    def alive():
+        return [t.name for t in threading.enumerate() if t.name in ("ingest-accept", "ingest-connection")]
+
+    assert wait_for(lambda: not alive(), timeout=1.0), f"server threads still running: {alive()}"

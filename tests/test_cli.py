@@ -6,7 +6,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from woodwatch.audio import CANONICAL_RATE, CANONICAL_SECONDS, load_wav
+from woodwatch.audio import CANONICAL_RATE, CANONICAL_SECONDS, AudioClip, load_wav, save_wav
 from woodwatch.cli import build_parser, main
 from woodwatch.container import write_container
 from woodwatch.evaluation import FOLDS, HOLDOUT_RATIO
@@ -63,7 +63,6 @@ def test_every_default_is_the_librarys():
     for cmd in ("train", "crossval", "compare"):
         parsed = args[cmd]
         assert TrainConfig(parsed["epochs"], parsed["batch_size"], parsed["seed"]) == TrainConfig()
-    assert args["extract"]["clip_seconds"] == args["serve"]["clip_seconds"] == CANONICAL_SECONDS
     assert args["train"]["val_ratio"] == args["compare"]["test_ratio"] == HOLDOUT_RATIO
     assert args["crossval"]["k"] == FOLDS
     assert args["serve"]["host"] == args["simulate-device"]["host"] == DEFAULT_HOST
@@ -171,10 +170,8 @@ def small_pipeline(tmp_path_factory):
     root = tmp_path_factory.mktemp("pipeline")
     dataset = root / "dataset"
     feats = root / "features.json"
-    assert main(["gen-synth", "--out", str(dataset), "--n", "4",
-                 "--duration-s", "1.25", "--snr-db", "14", "--seed", "21"]) == 0
-    assert main(["extract", "--dataset", str(dataset), "--out", str(feats),
-                 "--clip-seconds", "1.25"]) == 0
+    assert main(["gen-synth", "--out", str(dataset), "--n", "4", "--snr-db", "14", "--seed", "21"]) == 0
+    assert main(["extract", "--dataset", str(dataset), "--out", str(feats)]) == 0
     return root, feats
 
 
@@ -186,21 +183,17 @@ def test_extract_output_shape(small_pipeline):
     assert sorted(np.unique(feature_set.labels).tolist()) == [0, 1]
 
 
-def test_extract_rejects_a_clip_length_under_one_sample(capsys, small_pipeline, tmp_path):
-    root, _ = small_pipeline
-    code, _, err = run_cli(capsys, "extract", "--dataset", str(root / "dataset"),
-                           "--out", str(tmp_path / "f.bin"), "--clip-seconds", "0.00001")
-    assert code == 2
-    assert "under one sample" in err and "Traceback" not in err
-
-
-@pytest.mark.parametrize("clip_seconds", ["inf", "nan"])
-def test_extract_rejects_a_clip_length_that_is_not_finite(capsys, small_pipeline, tmp_path, clip_seconds):
-    root, _ = small_pipeline
-    code, _, err = run_cli(capsys, "extract", "--dataset", str(root / "dataset"),
-                           "--out", str(tmp_path / "f.bin"), "--clip-seconds", clip_seconds)
-    assert code == 2
-    assert "not finite" in err and "Traceback" not in err
+def test_extract_cuts_the_window_the_server_serves(tmp_path):
+    dataset = tmp_path / "dataset"
+    dataset.mkdir()
+    rng = np.random.default_rng(17)
+    save_wav(AudioClip(rng.uniform(-0.5, 0.5, 12 * 48_000), 48_000), dataset / "x.wav")  # 2.4 windows
+    save_wav(AudioClip(rng.uniform(-0.5, 0.5, 5 * CANONICAL_RATE), CANONICAL_RATE), dataset / "y.wav")
+    assert main(["extract", "--dataset", str(dataset), "--out", str(tmp_path / "f.bin")]) == 0
+    feature_set = load_features(tmp_path / "f.bin")
+    assert feature_set.ids == ["x.wav#0", "x.wav#1", "x.wav#2", "y.wav"]
+    assert IngestServer.clip_seconds == CANONICAL_SECONDS
+    assert feature_set.matrices.shape == (4, 157, 40)  # T of a 5 s clip, as the server classifies it
 
 
 def test_train_smoke_under_a_minute(capsys, small_pipeline, tmp_path):
