@@ -69,8 +69,12 @@ class AudioClip:
 
 
 def pcm16_to_float(pcm: np.ndarray) -> np.ndarray:
-    """Map int16 samples to [-1, 1) by division by 32768."""
-    return np.asarray(pcm, dtype=np.float64) / _PCM_FULL_SCALE
+    """Map int16 samples to [-1, 1) by division by 32768.
+
+    One pass: the scale 1/32768 is a power of two, so multiplying by it is
+    exactly the division.
+    """
+    return np.multiply(pcm, 1.0 / _PCM_FULL_SCALE, dtype=np.float64)
 
 
 def float_to_pcm16(samples: np.ndarray) -> np.ndarray:
@@ -125,14 +129,18 @@ def load_wav(path: str | Path) -> AudioClip:
     return AudioClip(pcm16_to_float(pcm), rate)
 
 
-def save_wav(clip: AudioClip, path: str | Path) -> None:
-    """Write a clip as mono 16-bit PCM WAV (little-endian RIFF/WAVE)."""
-    pcm = float_to_pcm16(clip.samples)
+def write_wav_pcm16(path: str | Path, pcm: np.ndarray, rate: int) -> None:
+    """Write int16 samples as mono 16-bit PCM WAV (little-endian RIFF/WAVE)."""
     with wave.open(str(path), "wb") as wav:
         wav.setnchannels(1)
         wav.setsampwidth(2)
-        wav.setframerate(clip.sample_rate)
-        wav.writeframes(pcm.tobytes())
+        wav.setframerate(rate)
+        wav.writeframes(np.asarray(pcm, dtype="<i2").tobytes())
+
+
+def save_wav(clip: AudioClip, path: str | Path) -> None:
+    """Write a clip as mono 16-bit PCM WAV, quantized by float_to_pcm16."""
+    write_wav_pcm16(path, float_to_pcm16(clip.samples), clip.sample_rate)
 
 
 def resample_linear(clip: AudioClip, target_rate: int) -> AudioClip:
@@ -140,7 +148,10 @@ def resample_linear(clip: AudioClip, target_rate: int) -> AudioClip:
 
     Sample i of the output is taken at source position i * source/target,
     with edge-hold beyond the final input sample. Equal rates return the
-    clip unchanged.
+    clip unchanged. When the source rate is an integer multiple k of the
+    target (48 kHz to 16 kHz, say), every position is an input sample and
+    never past the last, so the output is every k-th sample: what the
+    interpolation gives at its knots, bit for bit.
     """
     if target_rate <= 0:
         raise ValueError(f"target_rate must be positive, got {target_rate}")
@@ -150,6 +161,9 @@ def resample_linear(clip: AudioClip, target_rate: int) -> AudioClip:
     n_out = int(round(n_in * target_rate / clip.sample_rate))
     if n_in == 0 or n_out == 0:
         return AudioClip(np.zeros(n_out), target_rate)
+    step, remainder = divmod(clip.sample_rate, target_rate)
+    if remainder == 0:
+        return AudioClip(clip.samples[: n_out * step : step], target_rate)
     positions = np.arange(n_out) * (clip.sample_rate / target_rate)
     out = np.interp(positions, np.arange(n_in), clip.samples)
     return AudioClip(out, target_rate)

@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import audio, features, synth
+from .allocator import keep_malloc_heap
 from .errors import (
     CheckpointError,
     InvalidDatasetError,
@@ -336,6 +337,12 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry_point() -> None:
+    """The ``woodwatch`` program: sets the process's allocator policy, then runs ``main``.
+
+    ``main`` leaves the allocator alone, since tests and library callers run
+    it inside their own process.
+    """
+    keep_malloc_heap()
     sys.exit(main())
 
 

@@ -14,7 +14,8 @@ fills, or one frame makes thousands of clips. Every time a full clip
 accumulates, the clip is resampled to the canonical rate if needed,
 featurized, classified with the loaded checkpoint, and appended to the
 JSON-lines store by the connection's own thread under one lock. An
-archived clip never replaces an earlier one of the same name.
+archived clip is the PCM as it arrived and never replaces an earlier one
+of the same name.
 Malformed frames, a frame cut by a close, store failures and broken
 connections are counted, never fatal, and so are the samples of a partial
 clip a connection holds when it ends. A frame must arrive in full within
@@ -27,7 +28,6 @@ the other connections wait.
 from __future__ import annotations
 
 import contextlib
-import ctypes
 import io
 import itertools
 import logging
@@ -40,8 +40,9 @@ from pathlib import Path
 
 import numpy as np
 
+from ..allocator import keep_malloc_heap
 from ..audio import (CANONICAL_RATE, CANONICAL_SECONDS, AudioClip, ClipLabel, pcm16_to_float,
-                     resample_linear, save_wav, segment_samples)
+                     resample_linear, segment_samples, write_wav_pcm16)
 from ..errors import IntegrityError, ProtocolError, ServerStartupError, TruncationError
 from ..features import mfcc_frames
 from ..models import load_model, predict, to_model_input
@@ -58,38 +59,8 @@ DEFAULT_HOST = "127.0.0.1"
 IDLE_TIMEOUT_S = 30.0  # the time a whole frame may take, counted from when the connection waits for it
 MAX_CONNECTIONS = 256  # served at once: a device sends a clip every 5 s, one core classifies hundreds
 # classify passes at once: the GIL serialises their Python parts, so more gain
-# no throughput, and each holds up to 32 MB of temporaries (a 192 kHz clip)
+# no throughput, and each holds up to 16 MB of temporaries (a 192 kHz clip)
 MAX_CLASSIFYING = 2
-# glibc mallopt (param, value), applied in this order: M_MMAP_THRESHOLD 32 MiB,
-# glibc's own ceiling for its dynamic threshold on 64-bit, and the one setting
-# it may refuse (above its ceiling, as on 32-bit); M_TRIM_THRESHOLD never
-# reached; M_ARENA_MAX 1, last, since one arena alone still faults
-_MALLOC_POLICY = ((-3, 32 << 20), (-1, 2**31 - 1), (-8, 1))
-
-
-def _keep_malloc_heap() -> None:
-    """Serve every thread's allocations from one glibc heap that is never shrunk.
-
-    The setting is process-wide: it holds for every thread of the process
-    from this call on (one that already has an arena of its own keeps it),
-    and resident memory stays at its peak. Without it each connection thread
-    gets its own arena, which hands a clip's large NumPy temporaries back to
-    the kernel after every clip, so the next clip faults them in again.
-    Where the C library has no ``mallopt`` (not glibc) nothing is set. The
-    settings are applied in order and stop at the first that fails, so a
-    refused mmap threshold leaves the allocator as it was.
-    """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, TypeError, AttributeError):  # Windows takes no CDLL(None); macOS has no mallopt
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    for param, value in _MALLOC_POLICY:
-        if not mallopt(param, value):
-            return
-
-
 def _claim_wav_path(directory: Path, stem: str) -> Path:
     """Create and return ``{stem}.wav``, or the first free ``{stem}-{n}.wav``
     (n = 1, 2, ...) when that name is taken: a device that reconnects, and a
@@ -212,7 +183,7 @@ class IngestServer:
         self.archive_dir = Path(archive_dir) if archive_dir else None
         self.stats = _Stats()
 
-        _keep_malloc_heap()
+        keep_malloc_heap()
         (self._graph, self._kind, self._feature_config, self._stats_norm,
          self._checkpoint_id) = load_model(checkpoint_path)
 
@@ -364,8 +335,8 @@ class IngestServer:
             return
         try:
             if self.archive_dir:
-                clip = AudioClip(pcm16_to_float(clip_pcm), session.sample_rate)
-                save_wav(clip, _claim_wav_path(self.archive_dir, f"device{session.device_id}_clip{index:04d}"))
+                write_wav_pcm16(_claim_wav_path(self.archive_dir, f"device{session.device_id}_clip{index:04d}"),
+                                clip_pcm, session.sample_rate)
             with self._store_lock:
                 append_records(self.store_path, [record])
         except OSError:

@@ -10,10 +10,12 @@ from woodwatch.audio import (
     ClipLabel,
     float_to_pcm16,
     load_wav,
+    pcm16_to_float,
     read_wav_pcm16,
     resample_linear,
     save_wav,
     segment_clip,
+    write_wav_pcm16,
 )
 from woodwatch.errors import UnsupportedWavError, WavFormatError
 
@@ -133,6 +135,34 @@ def test_resample_doubles_with_edge_hold():
     out = resample_linear(clip, 4)
     assert out.sample_rate == 4
     assert out.samples.tolist() == [0.0, 0.5, 1.0, 1.0]
+
+
+@pytest.mark.parametrize("rate", [32_000, 48_000, 96_000, 192_000])
+def test_an_integer_ratio_resamples_bit_equal_to_interpolation(rate):
+    step = rate // 16_000
+    rng = np.random.default_rng(step)
+    for n in [1, 2, *range(5 * step, 6 * step)]:  # every length mod step
+        samples = rng.uniform(-1, 1, n)
+        samples[::3] = -0.0
+        clip = AudioClip(samples, rate)
+        n_out = int(round(n * 16_000 / rate))
+        expected = np.interp(np.arange(n_out) * (rate / 16_000), np.arange(n), clip.samples)
+        out = resample_linear(clip, 16_000)
+        assert out.sample_rate == 16_000
+        assert out.samples.tobytes() == expected.tobytes(), n
+
+
+def test_pcm16_to_float_is_the_division_for_every_int16():
+    pcm = np.arange(-32768, 32768, dtype="<i2")
+    assert pcm16_to_float(pcm).tobytes() == (np.asarray(pcm, dtype=np.float64) / 32768).tobytes()
+
+
+def test_write_wav_pcm16_writes_what_save_wav_writes(tmp_path):
+    pcm = np.arange(-32768, 32768, dtype="<i2")
+    write_wav_pcm16(tmp_path / "pcm.wav", pcm, 192_000)
+    save_wav(AudioClip(pcm16_to_float(pcm), 192_000), tmp_path / "clip.wav")
+    assert (tmp_path / "pcm.wav").read_bytes() == (tmp_path / "clip.wav").read_bytes()
+    assert read_wav_pcm16(tmp_path / "pcm.wav")[1] == 192_000
 
 
 def test_resample_sine_matches_analytic():

@@ -1,11 +1,17 @@
 import json
 import math
+import os
+import platform
+import subprocess
+import sys
 import time
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import woodwatch
 from woodwatch.audio import CANONICAL_RATE, CANONICAL_SECONDS, AudioClip, load_wav, save_wav
 from woodwatch.cli import build_parser, main
 from woodwatch.container import write_container
@@ -16,7 +22,7 @@ from woodwatch.ingest.server import DEFAULT_HOST, IngestServer
 from woodwatch.ingest.simulator import FRAME_SAMPLES
 from woodwatch.models import ModelKind, TrainConfig, build_model, model_inputs
 from woodwatch.nn import save_checkpoint
-from woodwatch.synth import SynthConfig
+from woodwatch.synth import SynthConfig, gen_dataset
 
 
 def run_cli(capsys, *argv):
@@ -194,6 +200,25 @@ def test_extract_cuts_the_window_the_server_serves(tmp_path):
     assert feature_set.ids == ["x.wav#0", "x.wav#1", "x.wav#2", "y.wav"]
     assert IngestServer.clip_seconds == CANONICAL_SECONDS
     assert feature_set.matrices.shape == (4, 157, 40)  # T of a 5 s clip, as the server classifies it
+
+
+def _extract_minor_faults(dataset, out) -> int:
+    """Minor page faults of one ``woodwatch extract`` in a process of its own."""
+    env = dict(os.environ, PYTHONPATH=str(Path(woodwatch.__file__).parents[1]))
+    program = "from woodwatch.cli import entry_point; entry_point()"
+    proc = subprocess.Popen([sys.executable, "-c", program, "extract", "--dataset", str(dataset),
+                             "--out", str(out)], env=env, stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+    return usage.ru_minflt
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="needs glibc's mallopt")
+def test_the_woodwatch_program_does_not_fault_in_each_clips_arrays_again(tmp_path):
+    for n in (2, 10):
+        gen_dataset(tmp_path / f"n{n}", n, SynthConfig(seed=n))
+    few, many = (_extract_minor_faults(tmp_path / f"n{n}", tmp_path / f"n{n}.bin") for n in (2, 10))
+    assert (many - few) / 16 < 300  # about 1,400 per clip under glibc's default policy
 
 
 def test_train_smoke_under_a_minute(capsys, small_pipeline, tmp_path):

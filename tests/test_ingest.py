@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import types
 from pathlib import Path
 
@@ -16,6 +17,7 @@ import pytest
 
 import woodwatch
 from conftest import wait_for
+from woodwatch import allocator
 from woodwatch.audio import (CANONICAL_RATE, AudioClip, float_to_pcm16, pcm16_to_float, read_wav_pcm16,
                              resample_linear, save_wav)
 from woodwatch.errors import ServerStartupError, TransportError
@@ -221,6 +223,28 @@ def test_a_device_that_connects_again_archives_under_a_new_name(running_server, 
     archived = [archive / "device5_clip0000.wav", archive / "device5_clip0000-1.wav"]
     assert set(archive.iterdir()) == set(archived)
     assert [path.read_bytes() for path in archived] == [path.read_bytes() for path in sources]
+
+
+def test_the_archive_holds_the_pcm_as_it_arrived(running_server, tmp_path):
+    server, _, archive = running_server
+    pcm = np.resize(np.arange(-32768, 32768, dtype="<i2"), 80_000)  # every int16 value
+    simulate_device("127.0.0.1", server.port, AudioClip(pcm16_to_float(pcm), 16_000), device_id=6)
+    assert wait_for(lambda: server.stats.snapshot()["records_written"] == 1)
+    save_wav(AudioClip(pcm16_to_float(pcm), 16_000), tmp_path / "round_trip.wav")
+    assert (archive / "device6_clip0000.wav").read_bytes() == (tmp_path / "round_trip.wav").read_bytes()
+
+
+def test_a_192_khz_classify_pass_holds_under_20_mb(running_server):
+    server, _, _ = running_server
+    pcm = (np.random.default_rng(7).standard_normal(5 * 192_000) * 3000).astype("<i2")
+    server.classify_pcm(pcm, 192_000)  # fills the feature caches
+    tracemalloc.start()
+    try:
+        server.classify_pcm(pcm, 192_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6  # 15.4 MB: the int16 clip as float64 and its clamped copy
 
 
 def test_three_concurrent_devices(running_server, tmp_path):
@@ -859,7 +883,7 @@ def _refusing_mallopt(calls):
 def test_the_server_serves_without_the_malloc_policy(served_checkpoint, tmp_path, monkeypatch, library,
                                                      made_calls):
     calls = []
-    monkeypatch.setattr(server_module.ctypes, "CDLL", library(calls))
+    monkeypatch.setattr(allocator.ctypes, "CDLL", library(calls))
     server = IngestServer(0, served_checkpoint, tmp_path / "store.jsonl")
     assert calls == made_calls
     server.start()
