@@ -20,14 +20,7 @@ import numpy as np
 
 from . import audio, features, synth
 from .allocator import keep_malloc_heap
-from .errors import (
-    CheckpointError,
-    InvalidDatasetError,
-    ProtocolError,
-    UnsupportedWavError,
-    WavFormatError,
-    WoodwatchError,
-)
+from .errors import DataError, InvalidDatasetError, WoodwatchError
 from .evaluation import (
     FOLDS,
     HOLDOUT_RATIO,
@@ -40,7 +33,7 @@ from .evaluation import (
 from .ingest import IngestServer, query_store, simulate_device
 from .ingest.server import DEFAULT_HOST
 from .ingest.simulator import FRAME_SAMPLES
-from .models import ModelKind, TrainConfig, build_model, load_model, model_inputs, predict, to_model_input, train
+from .models import ModelKind, TrainConfig, build_model, load_model, predict, split_inputs, to_model_input, train
 from .nn import save_checkpoint
 
 EXIT_OK = 0
@@ -49,11 +42,7 @@ EXIT_DATA = 2
 EXIT_RUNTIME = 3
 
 _DATA_ERRORS = (
-    WavFormatError,
-    UnsupportedWavError,
-    InvalidDatasetError,
-    CheckpointError,
-    ProtocolError,
+    DataError,
     FileNotFoundError,
     IsADirectoryError,
     KeyError,
@@ -132,10 +121,10 @@ def _cmd_train(args) -> int:
     feature_set = _labeled_features(args.features)
     kind = ModelKind(args.kind)
     train_idx, val_idx = stratified_split(feature_set.labels, ratio=args.val_ratio, seed=args.seed)
-    inputs, stats = model_inputs(kind, feature_set, train_idx)
+    x_train, x_val, stats = split_inputs(kind, feature_set, train_idx, val_idx)
     graph = build_model(kind, seed=args.seed)
-    history = train(graph, inputs[train_idx], feature_set.labels[train_idx],
-                    inputs[val_idx], feature_set.labels[val_idx], _train_config(args))
+    history = train(graph, x_train, feature_set.labels[train_idx],
+                    x_val, feature_set.labels[val_idx], _train_config(args))
     save_checkpoint(args.out_checkpoint, graph, kind.value, args.seed,
                     feature_stats=stats.to_dict() if stats else None,
                     feature_config=feature_set.config.to_dict())

@@ -1,8 +1,8 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto exit codes: data-shaped problems (bad files,
-bad datasets, bad checkpoints, protocol violations) exit 2, runtime
-failures (diverged training, unusable ports) exit 3.
+The CLI maps these onto exit codes: data-shaped problems (``DataError``:
+bad files, bad datasets, bad checkpoints, protocol violations) exit 2,
+runtime failures (diverged training, unusable ports) exit 3.
 """
 
 
@@ -10,19 +10,23 @@ class WoodwatchError(Exception):
     """Base class for all package-specific errors."""
 
 
-class WavFormatError(WoodwatchError):
+class DataError(WoodwatchError):
+    """Base class for errors in the data the package was given."""
+
+
+class WavFormatError(DataError):
     """The file is not a well-formed RIFF/WAVE container."""
 
 
-class UnsupportedWavError(WoodwatchError):
+class UnsupportedWavError(DataError):
     """Well-formed WAV, but not 16-bit integer PCM."""
 
 
-class InvalidDatasetError(WoodwatchError):
+class InvalidDatasetError(DataError):
     """A dataset violates split/fold preconditions (e.g. empty class)."""
 
 
-class CheckpointError(WoodwatchError):
+class CheckpointError(DataError):
     """Unreadable checkpoint or architecture mismatch on load."""
 
 
@@ -30,7 +34,7 @@ class TrainingDivergedError(WoodwatchError):
     """Non-finite loss or gradient encountered during training."""
 
 
-class ProtocolError(WoodwatchError):
+class ProtocolError(DataError):
     """Malformed device frame (bad magic, bad layout)."""
 
 

@@ -248,7 +248,7 @@ def crossval_run(kind: ModelKind, features: FeatureSet, k: int = FOLDS, seed: in
 
     def fold_job(fold_index: int, train_idx: np.ndarray, test_idx: np.ndarray) -> MetricReport:
         try:
-            inputs = split_inputs(kind, features, train_idx, test_idx)
+            inputs = split_inputs(kind, features, train_idx, test_idx)[:2]
             report, _ = _fit_and_score(kind, inputs, features.labels, train_idx, test_idx,
                                        seed + fold_index, cfg)
         except WoodwatchError as exc:
@@ -303,8 +303,8 @@ def comparative_report(features: FeatureSet, seed: int = 0, cfg: TrainConfig = T
     The three sequence kinds read one shared, read-only copy of their inputs.
     """
     train_idx, test_idx = stratified_split(features.labels, ratio=ratio, seed=seed)
-    mean_inputs = split_inputs(ModelKind.DNN_MEAN, features, train_idx, test_idx)
-    sequence_inputs = split_inputs(ModelKind.CNN, features, train_idx, test_idx)
+    mean_inputs = split_inputs(ModelKind.DNN_MEAN, features, train_idx, test_idx)[:2]
+    sequence_inputs = split_inputs(ModelKind.CNN, features, train_idx, test_idx)[:2]
     for x in (*mean_inputs, *sequence_inputs):
         x.setflags(write=False)
     kinds = list(ModelKind)

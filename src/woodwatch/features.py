@@ -230,7 +230,9 @@ def fit_standardize(matrices) -> StandardizeStats:
 def apply_standardize(matrix, stats: StandardizeStats) -> np.ndarray:
     """(x - mean) / std per coefficient; accepts [T, C] or [N, T, C] arrays."""
     values = matrix.values if isinstance(matrix, MfccMatrix) else np.asarray(matrix, dtype=np.float64)
-    return (values - stats.mean) / stats.std
+    x = np.subtract(values, stats.mean)
+    x /= stats.std
+    return x
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,12 @@
 waits on the listening socket, looking at ``stop()`` every _POLL_S, and
 starts one thread per device connection; one over MAX_CONNECTIONS is closed
 on accept and counted. Validated frames are appended to the device's sample
-buffer in sequence order; sequence gaps are zero-filled (sized by the
-revealing frame) and counted, duplicates are dropped. A gap whose fill
-would exceed one clip is a protocol error that ends the connection, so one
-frame cannot make the server allocate without bound. So is a first frame
+buffer in sequence order, counted from the seq of the connection's first
+frame, so a device may go on numbering across a reconnect; sequence gaps
+are zero-filled (sized by the revealing frame) and counted, duplicates are
+dropped. A gap whose fill would exceed one clip is a protocol error that
+ends the connection, so one frame cannot make the server allocate without
+bound. So is a first frame
 whose sample rate lies outside 8-192 kHz: at an absurd rate a clip never
 fills, or one frame makes thousands of clips. Every time a full clip
 (CANONICAL_SECONDS of samples, the window ``extract`` cuts for training)
@@ -84,7 +86,7 @@ class _DeviceSession:
         self.clip_bytes = 0  # CANONICAL_SECONDS of samples, at the first frame's rate
         self.next_seq = 0
         self.pending = bytearray()  # PCM bytes not yet cut into a clip
-        self.stream_position = 0  # absolute sample index of the next clip start
+        self.stream_position = 0  # sample index of the next clip start, from the first frame
 
     def accept(self, frame: protocol.DeviceFrame, stats: "_Stats") -> list[np.ndarray]:
         """Fold one validated frame in; returns any completed clips.
@@ -99,6 +101,7 @@ class _DeviceSession:
             self.device_id = frame.device_id
             self.sample_rate = frame.sample_rate
             self.clip_bytes = 2 * segment_samples(CANONICAL_SECONDS, frame.sample_rate)
+            self.next_seq = frame.seq  # a device may resume its numbering on a new connection
         if frame.device_id != self.device_id or frame.sample_rate != self.sample_rate:
             stats.bump("protocol_errors")
             return []

@@ -16,7 +16,7 @@ log = logging.getLogger(__name__)
 class DetectionRecord:
     timestamp: str          # ISO-8601, UTC
     device_id: int
-    clip_start: int         # first sample index of the clip within the device stream
+    clip_start: int         # first sample index of the clip, from the connection's first frame
     clip_length: int        # samples
     label: str              # a ClipLabel name
     p_infested: float

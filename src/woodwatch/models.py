@@ -216,19 +216,14 @@ def model_inputs(kind: ModelKind, features: FeatureSet,
     return to_model_input(kind, features.matrices, stats), stats
 
 
-def split_inputs(kind: ModelKind, features: FeatureSet, train_idx: np.ndarray,
-                 test_idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``model_inputs(kind, features, train_idx)[0]`` at ``train_idx`` and at
-    ``test_idx``, bit-equal, built from those rows alone: the gathered copies
-    are standardized in place, so no input for the whole set is held."""
-    x_train, x_test = features.matrices[train_idx], features.matrices[test_idx]
-    if ModelKind(kind) is ModelKind.DNN_MEAN:
-        return x_train.mean(axis=1), x_test.mean(axis=1)
-    stats = fit_standardize(x_train)
-    for x in (x_train, x_test):
-        x -= stats.mean
-        x /= stats.std
-    return x_train, x_test
+def split_inputs(kind: ModelKind, features: FeatureSet, train_idx: np.ndarray, test_idx: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray, StandardizeStats | None]:
+    """``model_inputs(kind, features, train_idx)``'s rows at ``train_idx`` and at
+    ``test_idx``, bit-equal, and its stats, built from those rows alone, so no
+    input for the whole set is held."""
+    x_train = features.matrices[train_idx]
+    stats = None if ModelKind(kind) is ModelKind.DNN_MEAN else fit_standardize(x_train)
+    return to_model_input(kind, x_train, stats), to_model_input(kind, features.matrices[test_idx], stats), stats
 
 
 def load_model(path: str | Path) -> tuple[ModelGraph, ModelKind, FeatureConfig,

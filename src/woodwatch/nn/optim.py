@@ -1,4 +1,4 @@
-"""Adam optimizer with the canonical defaults (lr 1e-3, betas 0.9/0.999, eps 1e-8)."""
+"""Adam optimizer with the canonical hyperparameters of Kingma & Ba (2015)."""
 
 from __future__ import annotations
 
@@ -6,17 +6,20 @@ import numpy as np
 
 from ..errors import TrainingDivergedError
 
+LR = 1e-3
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 class Adam:
     """Holds first/second moment state per parameter and updates in place.
 
-    theta -= lr * m_hat / (sqrt(v_hat) + eps), with bias-corrected moments.
+    theta -= LR * m_hat / (sqrt(v_hat) + EPS), with bias-corrected moments.
     """
 
-    def __init__(self, params: list[np.ndarray], lr: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: list[np.ndarray]):
         self.params = params
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
         self.t = 0
@@ -28,11 +31,11 @@ class Adam:
             if not np.all(np.isfinite(g)):
                 raise TrainingDivergedError(f"non-finite gradient in parameter {index}")
         self.t += 1
-        bc1 = 1.0 - self.beta1**self.t
-        bc2 = 1.0 - self.beta2**self.t
+        bc1 = 1.0 - BETA1**self.t
+        bc2 = 1.0 - BETA2**self.t
         for p, g, m, v in zip(self.params, grads, self.m, self.v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * g * g
+            p -= LR * (m / bc1) / (np.sqrt(v / bc2) + EPS)

@@ -12,15 +12,16 @@ import numpy as np
 import pytest
 
 import woodwatch
+from woodwatch import models
 from woodwatch.audio import CANONICAL_RATE, CANONICAL_SECONDS, AudioClip, load_wav, save_wav
 from woodwatch.cli import build_parser, main
 from woodwatch.container import write_container
-from woodwatch.evaluation import FOLDS, HOLDOUT_RATIO
+from woodwatch.evaluation import FOLDS, HOLDOUT_RATIO, stratified_split
 from woodwatch.features import FeatureConfig, FeatureSet, load_features, mfcc_frames, save_features
 from woodwatch.ingest.protocol import MAX_PAYLOAD_BYTES
 from woodwatch.ingest.server import DEFAULT_HOST, IngestServer
 from woodwatch.ingest.simulator import FRAME_SAMPLES
-from woodwatch.models import ModelKind, TrainConfig, build_model, model_inputs
+from woodwatch.models import ModelKind, TrainConfig, build_model, model_inputs, train
 from woodwatch.nn import save_checkpoint
 from woodwatch.synth import SynthConfig, gen_dataset
 
@@ -251,6 +252,41 @@ def test_train_then_evaluate_roundtrip(capsys, small_pipeline, tmp_path):
     assert code == 0
     result = json_lines(out)[-1]
     assert result["metrics"]["accuracy"] >= 0.5
+
+
+def test_train_never_builds_an_input_for_the_whole_dump(capsys, small_pipeline, tmp_path, monkeypatch):
+    _, feats = small_pipeline
+    rows, to_model_input = [], models.to_model_input
+
+    def counting(kind, matrices, stats):
+        rows.append(len(matrices))
+        return to_model_input(kind, matrices, stats)
+
+    monkeypatch.setattr(models, "to_model_input", counting)
+    for kind in (ModelKind.DNN_MEAN, ModelKind.CNN):
+        code, _, _ = run_cli(capsys, "train", "--features", str(feats), "--kind", kind.value,
+                             "--epochs", "1", "--out-checkpoint", str(tmp_path / f"{kind.value}.ckpt"))
+        assert code == 0
+    assert rows and max(rows) < len(load_features(feats))
+
+
+@pytest.mark.parametrize("kind", [ModelKind.DNN_MEAN, ModelKind.LSTM])
+def test_train_writes_what_a_library_fit_on_the_model_inputs_rows_writes(capsys, small_pipeline, tmp_path,
+                                                                          kind):
+    _, feats = small_pipeline
+    code, _, _ = run_cli(capsys, "train", "--features", str(feats), "--kind", kind.value, "--epochs", "2",
+                         "--seed", "5", "--val-ratio", "0.25", "--out-checkpoint", str(tmp_path / "cli.ckpt"))
+    assert code == 0
+    dump = load_features(feats)
+    train_idx, val_idx = stratified_split(dump.labels, ratio=0.25, seed=5)
+    x, stats = model_inputs(kind, dump, train_idx)
+    graph = build_model(kind, seed=5)
+    history = train(graph, x[train_idx], dump.labels[train_idx], x[val_idx], dump.labels[val_idx],
+                    TrainConfig(epochs=2, seed=5))
+    save_checkpoint(tmp_path / "library.ckpt", graph, kind.value, 5,
+                    feature_stats=stats.to_dict() if stats else None, feature_config=dump.config.to_dict())
+    assert (tmp_path / "cli.ckpt").read_bytes() == (tmp_path / "library.ckpt").read_bytes()
+    assert json.loads((tmp_path / "cli.ckpt.history.json").read_text()) == history.to_dict()
 
 
 def test_evaluate_sequence_checkpoint_without_stats_is_data_error(capsys, small_pipeline, tmp_path):

@@ -100,10 +100,10 @@ def test_record_validation():
 
 def reassembly_oracle(frames, clip_samples):
     """Clips and counters from the plain rule: the payloads of the device's
-    first frame, in sequence order, zero-filled for each missing frame at the
-    revealing frame's length, cut every ``clip_samples``."""
+    first frame, in sequence order from that frame's seq, zero-filled for each
+    missing frame at the revealing frame's length, cut every ``clip_samples``."""
     first = frames[0]
-    parts, next_seq = [], 0
+    parts, next_seq = [], first.seq
     counts = {"protocol_errors": 0, "duplicate_frames": 0, "sequence_gaps": 0}
     for frame in frames:
         samples = np.frombuffer(frame.payload, dtype="<i2")
@@ -127,13 +127,14 @@ def test_session_reassembly_matches_the_oracle(rate, clip_seconds, monkeypatch):
     monkeypatch.setattr(server_module, "CANONICAL_SECONDS", clip_seconds)  # windows of a few frames
     rng = np.random.default_rng(rate)
     clip_samples = int(round(clip_seconds * rate))
-    frames, seq = [], 0
+    origin = int(rng.integers(0, 2**31))  # a device may resume its numbering anywhere
+    frames, seq = [], origin
     for _ in range(300):
         n = int(rng.integers(0, 3 * clip_samples))  # empty frames and frames of several clips too
         payload = rng.integers(-2**15, 2**15, size=n, dtype=np.int16).astype("<i2").tobytes()
         roll = rng.random()
-        if roll < 0.1 and seq > 0:
-            frames.append(DeviceFrame(3, int(rng.integers(0, seq)), rate, payload))  # duplicate
+        if roll < 0.1 and seq > origin:
+            frames.append(DeviceFrame(3, int(rng.integers(origin, seq)), rate, payload))  # duplicate
             continue
         if roll < 0.15:
             frames.append(DeviceFrame(4, seq, rate, payload))  # another device: refused
@@ -153,6 +154,17 @@ def test_session_reassembly_matches_the_oracle(rate, clip_seconds, monkeypatch):
     assert {key: counts[key] for key in want_counts} == want_counts
     assert want_counts["sequence_gaps"] > 0 and want_counts["duplicate_frames"] > 0
     assert len(session.pending) < 2 * clip_samples  # less than one clip held between frames
+
+
+@pytest.mark.parametrize("origin", [10, 100])
+def test_a_session_counts_its_sequence_from_its_first_frame(origin):
+    pcm = np.arange(80_000, dtype="<i2")  # one 5 s clip at 16 kHz
+    session, stats = server_module._DeviceSession(), server_module._Stats()
+    frames = [DeviceFrame(3, seq, 16_000, pcm[start : start + 2500].tobytes())
+              for seq, start in enumerate(range(0, len(pcm), 2500), start=origin)]
+    clips = [clip for frame in frames for clip in session.accept(frame, stats)]
+    assert len(clips) == 1 and np.array_equal(clips[0], pcm)
+    assert not session.pending and stats.snapshot()["sequence_gaps"] == 0
 
 
 # -- server fixtures -----------------------------------------------------------------
@@ -223,6 +235,23 @@ def test_a_device_that_connects_again_archives_under_a_new_name(running_server, 
     archived = [archive / "device5_clip0000.wav", archive / "device5_clip0000-1.wav"]
     assert set(archive.iterdir()) == set(archived)
     assert [path.read_bytes() for path in archived] == [path.read_bytes() for path in sources]
+
+
+def test_a_device_that_resumes_its_numbering_on_a_new_connection_is_served(running_server):
+    server, store, archive = running_server
+    pcm = float_to_pcm16(gen_clean_clip(SynthConfig(snr_db=12.0), seed=907).samples)
+    for n, origin in enumerate((0, 100), start=1):  # the second connection goes on at seq 100
+        frames = [encode_frame(DeviceFrame(device_id=39, seq=seq, sample_rate=16000,
+                                           payload=pcm[start : start + 2500].tobytes()))
+                  for seq, start in enumerate(range(0, len(pcm), 2500), start=origin)]
+        with socket.create_connection(("127.0.0.1", server.port)) as conn:
+            conn.sendall(b"".join(frames))
+        assert wait_for(lambda: server.stats.snapshot()["records_written"] == n)
+    stats = server.stats.snapshot()
+    assert stats["protocol_errors"] == 0 and stats["sequence_gaps"] == 0
+    assert [r.device_id for r in load_store(store)[0]] == [39, 39]
+    resumed, _ = read_wav_pcm16(archive / "device39_clip0000-1.wav")
+    assert np.array_equal(resumed, pcm)  # no zeros ahead of the audio
 
 
 def test_the_archive_holds_the_pcm_as_it_arrived(running_server, tmp_path):

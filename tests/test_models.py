@@ -239,7 +239,11 @@ def test_model_inputs_contract(tiny_features):
 @pytest.mark.parametrize("kind", list(ModelKind))
 def test_split_inputs_are_the_model_inputs_rows_bit_for_bit(tiny_features, kind):
     train_idx, test_idx = stratified_split(tiny_features.labels, seed=4)
-    full, _ = model_inputs(kind, tiny_features, train_idx)
-    x_train, x_test = split_inputs(kind, tiny_features, train_idx, test_idx)
+    full, full_stats = model_inputs(kind, tiny_features, train_idx)
+    x_train, x_test, stats = split_inputs(kind, tiny_features, train_idx, test_idx)
     assert x_train.tobytes() == full[train_idx].tobytes()
     assert x_test.tobytes() == full[test_idx].tobytes()
+    if full_stats is None:
+        assert stats is None
+    else:
+        assert stats.to_dict() == full_stats.to_dict()

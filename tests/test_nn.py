@@ -295,7 +295,7 @@ def test_adam_zero_gradient_is_noop():
 
 def test_adam_first_step_magnitude():
     p = np.array([0.0])
-    Adam([p], lr=1e-3).step([np.array([0.5])])
+    Adam([p]).step([np.array([0.5])])
     assert p[0] == pytest.approx(-1e-3 * 0.5 / (0.5 + 1e-8), rel=1e-9)
 
 
