@@ -96,7 +96,8 @@ def read_wav_pcm16(path: str | Path) -> tuple[np.ndarray, int]:
             sample_width = wav.getsampwidth()
             comp_type = wav.getcomptype()
             rate = wav.getframerate()
-            raw = wav.readframes(wav.getnframes())
+            n_frames = wav.getnframes()
+            raw = wav.readframes(n_frames)
     except wave.Error as exc:
         # The stdlib reports non-PCM format tags (float=3, a-law=6, ...) as
         # "unknown format: N"; anything else is a broken container.
@@ -114,11 +115,14 @@ def read_wav_pcm16(path: str | Path) -> tuple[np.ndarray, int]:
         )
     if rate <= 0:
         raise WavFormatError(f"{path}: non-positive sample rate {rate}")
+    frame_bytes = sample_width * n_channels
+    if len(raw) < n_frames * frame_bytes:
+        raise WavFormatError(f"{path}: truncated data chunk: header declares {n_frames} frames, "
+                             f"file holds {len(raw) // frame_bytes}")
 
     data = np.frombuffer(raw, dtype="<i2")
     if n_channels > 1:
-        frames = len(data) // n_channels
-        data = data[: frames * n_channels].reshape(frames, n_channels)
+        data = data.reshape(-1, n_channels)
         data = np.rint(data.mean(axis=1)).astype("<i2")
     return data, rate
 

@@ -19,7 +19,7 @@ def write_container(path: str | Path, magic: bytes, header: dict, payload: np.nd
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(magic + struct.pack("<I", len(header_bytes)) + header_bytes)
-        fh.write(np.ascontiguousarray(payload, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(payload, dtype="<f8").data)
 
 
 def read_file(path: str | Path) -> bytearray:

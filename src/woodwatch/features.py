@@ -79,6 +79,9 @@ class MfccMatrix:
             raise ValueError("MFCC values must be finite")
         object.__setattr__(self, "values", values)
 
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.values, dtype=dtype, copy=copy)
+
 
 @dataclass(frozen=True)
 class StandardizeStats:
@@ -212,15 +215,15 @@ def mfcc_frames(clip: AudioClip, cfg: FeatureConfig = FeatureConfig()) -> MfccMa
 
 
 def fit_standardize(matrices) -> StandardizeStats:
-    """Per-coefficient mean/std over all frames of the training matrices.
+    """Per-coefficient mean/std over all frames of an [N, T, C] array-like of matrices.
 
     Population std; entries below 1e-8 are replaced by 1 so constant
     coefficients pass through unscaled.
     """
-    arrays = [m.values if isinstance(m, MfccMatrix) else np.asarray(m) for m in matrices]
-    if not arrays:
+    stacked = np.asarray(matrices, dtype=np.float64)
+    if stacked.size == 0:
         raise ValueError("training set must be non-empty")
-    stacked = np.concatenate([a.reshape(-1, a.shape[-1]) for a in arrays], axis=0)
+    stacked = stacked.reshape(-1, stacked.shape[-1])  # a view of contiguous rows, not a copy
     mean = stacked.mean(axis=0)
     std = stacked.std(axis=0)
     std = np.where(std < 1e-8, 1.0, std)
@@ -229,8 +232,7 @@ def fit_standardize(matrices) -> StandardizeStats:
 
 def apply_standardize(matrix, stats: StandardizeStats) -> np.ndarray:
     """(x - mean) / std per coefficient; accepts [T, C] or [N, T, C] arrays."""
-    values = matrix.values if isinstance(matrix, MfccMatrix) else np.asarray(matrix, dtype=np.float64)
-    x = np.subtract(values, stats.mean)
+    x = np.subtract(matrix, stats.mean)
     x /= stats.std
     return x
 

@@ -6,6 +6,7 @@ deliberately sharing no code with the production pipeline.
 """
 
 import math
+import struct
 
 import numpy as np
 
@@ -100,6 +101,13 @@ def reference_crc32(data: bytes) -> int:
         for _ in range(8):
             crc = (crc >> 1) ^ 0xEDB88320 if crc & 1 else crc >> 1
     return crc ^ 0xFFFFFFFF
+
+
+def raw_frame(device_id: int, seq: int, sample_rate: int, payload: bytes) -> bytes:
+    """A device frame's wire bytes with a valid CRC, laid out by hand and
+    without DeviceFrame's checks, so a test can send frames no sender builds."""
+    body = struct.pack("<4sQIII", b"WBF1", device_id, seq, sample_rate, len(payload)) + payload
+    return body + struct.pack("<I", reference_crc32(body))
 
 
 def adam_scalar_trajectory(theta0: float, steps: int, lr: float = 1e-3,

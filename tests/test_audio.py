@@ -1,4 +1,5 @@
 import math
+import re
 import struct
 import wave
 
@@ -102,6 +103,17 @@ def test_load_rejects_malformed_header(tmp_path):
     path.write_bytes(b"NOTAWAVEFILE" + b"\x00" * 64)
     with pytest.raises(WavFormatError):
         load_wav(path)
+
+
+@pytest.mark.parametrize("size, present", [(45, 0), (60, 8), (243, 99)])
+def test_load_rejects_a_data_chunk_cut_short(tmp_path, size, present):
+    path = tmp_path / "cut.wav"
+    write_pcm16(path, np.arange(100))
+    assert path.stat().st_size == 244
+    path.write_bytes(path.read_bytes()[:size])  # inside a sample at 45 and 243, on a boundary at 60
+    message = rf"^{re.escape(str(path))}: .*declares 100 frames, file holds {present}$"
+    with pytest.raises(WavFormatError, match=message):
+        read_wav_pcm16(path)
 
 
 def test_load_rejects_float_and_wide_pcm(tmp_path):

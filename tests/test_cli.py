@@ -203,6 +203,20 @@ def test_extract_cuts_the_window_the_server_serves(tmp_path):
     assert feature_set.matrices.shape == (4, 157, 40)  # T of a 5 s clip, as the server classifies it
 
 
+@pytest.mark.parametrize("cut", [1, 2])  # inside a sample; on a sample boundary
+def test_extract_on_a_truncated_wav_is_data_error(capsys, tmp_path, cut):
+    dataset = tmp_path / "dataset"
+    (dataset / "clean").mkdir(parents=True)
+    for name in ("a.wav", "b.wav"):
+        save_wav(AudioClip(np.zeros(CANONICAL_RATE), CANONICAL_RATE), dataset / "clean" / name)
+    truncated = dataset / "clean" / "b.wav"
+    truncated.write_bytes(truncated.read_bytes()[:-cut])
+    code, _, err = run_cli(capsys, "extract", "--dataset", str(dataset), "--out", str(tmp_path / "f.bin"))
+    assert code == 2
+    assert str(truncated) in err and "Traceback" not in err
+    assert not (tmp_path / "f.bin").exists()
+
+
 def _extract_minor_faults(dataset, out) -> int:
     """Minor page faults of one ``woodwatch extract`` in a process of its own."""
     env = dict(os.environ, PYTHONPATH=str(Path(woodwatch.__file__).parents[1]))
@@ -248,10 +262,11 @@ def test_train_then_evaluate_roundtrip(capsys, small_pipeline, tmp_path):
     history = json.loads((tmp_path / "hist.json").read_text())
     assert len(history["train_loss"]) == 30
     code, out, _ = run_cli(capsys, "evaluate", "--checkpoint", str(ckpt),
-                           "--features", str(feats))
+                           "--features", str(feats), "--out-report", str(tmp_path / "report.json"))
     assert code == 0
     result = json_lines(out)[-1]
     assert result["metrics"]["accuracy"] >= 0.5
+    assert (tmp_path / "report.json").read_text() == out.splitlines()[-1]
 
 
 def test_train_never_builds_an_input_for_the_whole_dump(capsys, small_pipeline, tmp_path, monkeypatch):
@@ -389,6 +404,7 @@ def test_crossval_cli(capsys, small_pipeline, tmp_path):
                            "--kind", "dnn_mean", "--k", "2", "--epochs", "10",
                            "--seed", "1", "--out", str(out_path))
     assert code == 0
+    assert out_path.read_text() == out.splitlines()[-1]
     report = json.loads(out_path.read_text())
     assert len(report["folds"]) == 2
     assert 0.0 <= report["mean_accuracy"] <= 1.0
@@ -399,12 +415,13 @@ def test_compare_cli_emits_table(capsys, small_pipeline, tmp_path):
     table_path = tmp_path / "table.txt"
     code, out, _ = run_cli(capsys, "compare", "--features", str(feats),
                            "--epochs", "2", "--seed", "1", "--test-ratio", "0.25",
-                           "--out-table", str(table_path))
+                           "--out-table", str(table_path), "--out", str(tmp_path / "compare.json"))
     assert code == 0
     table = table_path.read_text()
     assert "CNN-LSTM" in table and "LSTM only" in table
     result = json_lines(out)[-1]
     assert set(result["models"]) == {"dnn_mean", "cnn", "lstm", "cnn_lstm"}
+    assert (tmp_path / "compare.json").read_text() == out.splitlines()[-1]
 
 
 def test_report_on_missing_store_is_data_error(capsys, tmp_path):

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
 import woodwatch
 from conftest import wait_for
 from woodwatch import allocator
@@ -391,13 +392,14 @@ def test_gap_longer_than_a_clip_ends_the_connection(running_server):
     assert [r.device_id for r in load_store(store)[0]] == [12]
 
 
-@pytest.mark.parametrize("rate", [1, 2**32 - 1])
+@pytest.mark.parametrize("rate", [0, 1, 2**32 - 1])
 def test_sample_rate_outside_the_range_ends_the_connection(running_server, rate):
-    # at 1 Hz this frame alone would be two 5-sample clips; at 2**32-1 a clip never fills
+    # read_frame refuses 0 Hz; at 1 Hz this frame alone would be two 5-sample clips;
+    # at 2**32-1 a clip never fills
     server, store, _ = running_server
     payload = np.zeros(10, dtype="<i2").tobytes()
     with socket.create_connection(("127.0.0.1", server.port)) as conn:
-        conn.sendall(encode_frame(DeviceFrame(device_id=13, seq=0, sample_rate=rate, payload=payload)))
+        conn.sendall(oracles.raw_frame(13, 0, rate, payload))
         conn.settimeout(10.0)
         assert conn.recv(1) == b""  # the server closed its end
     assert wait_for(lambda: server.stats.snapshot()["protocol_errors"] == 1)

@@ -1,11 +1,13 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
 
+from woodwatch.cli import main
 from woodwatch.errors import TrainingDivergedError
 from woodwatch.evaluation import stratified_split
-from woodwatch.features import FeatureConfig
+from woodwatch.features import FeatureConfig, save_features
 from woodwatch.models import (
     GraphDims,
     ModelKind,
@@ -17,7 +19,7 @@ from woodwatch.models import (
     split_inputs,
     train,
 )
-from woodwatch.nn import finite_diff_check, load_checkpoint, save_checkpoint
+from woodwatch.nn import Dense, finite_diff_check, load_checkpoint, save_checkpoint
 
 
 # sha256 of save_checkpoint's bytes for build_model(kind, seed=7, dims): any
@@ -167,6 +169,29 @@ def test_train_aborts_on_divergence(tiny_features):
     with pytest.raises(TrainingDivergedError):
         train(graph, x, tiny_features.labels, x, tiny_features.labels,
               TrainConfig(epochs=1, batch_size=4, seed=0))
+
+
+def test_a_non_finite_gradient_stops_training_at_its_epoch_and_batch(tiny_features, tmp_path, monkeypatch,
+                                                                     capsys):
+    backward = Dense.backward
+
+    def poisoned(self, dy, need_dx=True):
+        dx = backward(self, dy, need_dx)
+        self.dw[0, 0] = np.nan
+        return dx
+
+    monkeypatch.setattr(Dense, "backward", poisoned)
+    message = r"epoch 0, batch 0: non-finite gradient in parameter \d+$"
+    x, _ = model_inputs(ModelKind.DNN_MEAN, tiny_features, np.arange(len(tiny_features)))
+    with pytest.raises(TrainingDivergedError, match="^" + message):
+        train(build_model(ModelKind.DNN_MEAN, seed=0), x, tiny_features.labels, None, None,
+              TrainConfig(epochs=1, batch_size=4, seed=0))
+    dump, ckpt = tmp_path / "f.bin", tmp_path / "m.ckpt"
+    save_features(dump, tiny_features)
+    assert main(["train", "--features", str(dump), "--kind", "dnn_mean", "--epochs", "1",
+                 "--out-checkpoint", str(ckpt)]) == 3
+    assert re.search("^error: " + message, capsys.readouterr().err.strip())
+    assert not ckpt.exists()
 
 
 def test_overfit_eight_samples_and_objective_monotone(tiny_features):

@@ -114,6 +114,20 @@ def test_oversized_payload_rejected_from_the_header():
         decode_frame(header_declaring(MAX_PAYLOAD_BYTES + 2))
 
 
+def test_odd_payload_length_rejected_from_the_header():
+    blob = oracles.raw_frame(1, 1, 16000, b"\x00\x00\x00")
+    for stream in (blob, blob[:HEADER_SIZE]):  # the same error whether or not the body follows
+        with pytest.raises(ProtocolError, match="^odd payload length 3$"):
+            read_frame(io.BytesIO(stream))
+
+
+def test_zero_sample_rate_rejected_behind_a_valid_crc():
+    blob = oracles.raw_frame(1, 1, 0, b"\x01\x00")
+    for decode in (decode_frame, lambda b: read_frame(io.BytesIO(b))):
+        with pytest.raises(ProtocolError, match="^zero sample_rate$"):
+            decode(blob)
+
+
 class TrickleStream(io.BytesIO):
     """A stream that hands out at most 1000 bytes per read, like a socket."""
 
