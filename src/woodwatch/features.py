@@ -21,8 +21,6 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy.fft
-import scipy.sparse
 
 from .audio import AudioClip, ClipLabel
 from .container import read_container, read_file, write_container
@@ -31,6 +29,12 @@ from .errors import InvalidDatasetError
 _MEL_BREAK_HZ = 1000.0
 _MEL_BREAK = 15.0  # mel value at 1 kHz: 3 * 1000 / 200
 _MEL_LOG_STEP = math.log(6.4) / 27.0
+# Filters per dense product in mfcc_frames. Each group spans only its own
+# bins (the whole bank is ~1.5% nonzero). On a 5 s clip at the defaults (one
+# OpenBLAS thread on a Xeon, minimum of 300 calls), groups of 8 took 0.10 ms,
+# groups of 4, 16 and 32 took 0.14, 0.12 and 0.26 ms, and one product over
+# the whole bank 0.90 ms.
+_MEL_GROUP = 8
 
 
 @dataclass(frozen=True)
@@ -181,10 +185,21 @@ def mel_filterbank(cfg: FeatureConfig, sample_rate: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _mel_filterbank_csr(cfg: FeatureConfig, sample_rate: int) -> scipy.sparse.csr_array:
-    """mel_filterbank as CSR: the filters are ~1.5% nonzero, so the sparse
-    product takes about a third of the time of the dense one."""
-    return scipy.sparse.csr_array(mel_filterbank(cfg, sample_rate))
+def _mel_groups(cfg: FeatureConfig, sample_rate: int) -> tuple[tuple[int, int, np.ndarray], ...]:
+    """mel_filterbank as (first filter, first bin, read-only [bins, filters]
+    block) per group of _MEL_GROUP filters. A block spans the bins from the
+    group's first nonzero weight to its last; an all-zero group has none.
+    """
+    bank = mel_filterbank(cfg, sample_rate)
+    groups = []
+    for start in range(0, cfg.n_mels, _MEL_GROUP):
+        rows = bank[start : start + _MEL_GROUP]
+        bins = np.flatnonzero(rows.any(axis=0))
+        if len(bins):
+            block = np.ascontiguousarray(rows[:, bins[0] : bins[-1] + 1].T)
+            block.setflags(write=False)
+            groups.append((start, int(bins[0]), block))
+    return tuple(groups)
 
 
 def power_to_db(power, log_floor: float = FeatureConfig.log_floor):
@@ -192,24 +207,36 @@ def power_to_db(power, log_floor: float = FeatureConfig.log_floor):
     return 10.0 * np.log10(np.maximum(power, log_floor))
 
 
-def dct2_ortho(x: np.ndarray, keep: int) -> np.ndarray:
-    """Orthonormal DCT-II along the last axis, truncated to `keep` coefficients.
-
-    The result is a compact copy, not a view that would keep all n
-    coefficients alive (3.2x the memory of an MFCC matrix at the defaults).
+@functools.lru_cache(maxsize=8)
+def _dct2_basis(n: int, keep: int) -> np.ndarray:
+    """Orthonormal DCT-II basis, shape [n, keep], read-only: column k is
+    s_k * cos(pi * (i + 1/2) * k / n) with s_0 = sqrt(1/n), s_k = sqrt(2/n).
     """
+    i = np.arange(n)[:, None]
+    k = np.arange(keep)[None, :]
+    basis = np.cos(np.pi * (2 * i + 1) * k / (2 * n)) * math.sqrt(2.0 / n)
+    basis[:, 0] = math.sqrt(1.0 / n)
+    basis.setflags(write=False)
+    return basis
+
+
+def dct2_ortho(x: np.ndarray, keep: int) -> np.ndarray:
+    """Orthonormal DCT-II along the last axis, truncated to `keep` coefficients."""
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[-1]
     if not 1 <= keep <= n:
         raise ValueError(f"keep must be in [1, {n}], got {keep}")
-    return np.ascontiguousarray(scipy.fft.dct(x, type=2, norm="ortho", axis=-1)[..., :keep])
+    return x @ _dct2_basis(n, keep)
 
 
 def mfcc_frames(clip: AudioClip, cfg: FeatureConfig = FeatureConfig()) -> MfccMatrix:
     """Full pipeline: clip at the canonical rate -> [T, n_mfcc] coefficient matrix."""
     frames = frame_signal(clip, cfg)
     spectra = power_spectrum(frames)
-    mel_power = np.ascontiguousarray((_mel_filterbank_csr(cfg, clip.sample_rate) @ spectra.T).T)
+    mel_power = np.zeros((len(spectra), cfg.n_mels))
+    for start, lo, block in _mel_groups(cfg, clip.sample_rate):
+        bins, filters = block.shape
+        np.matmul(spectra[:, lo : lo + bins], block, out=mel_power[:, start : start + filters])
     mel_db = power_to_db(mel_power, cfg.log_floor)
     return MfccMatrix(dct2_ortho(mel_db, cfg.n_mfcc))
 

@@ -1,11 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oracles
+import woodwatch
 from woodwatch.audio import AudioClip
 from woodwatch.errors import InvalidDatasetError
 from woodwatch.features import (
@@ -160,6 +165,10 @@ def test_dct_matches_direct_summation():
     rng = np.random.default_rng(3)
     x = rng.normal(size=64)
     assert np.abs(dct2_ortho(x, 20) - oracles.direct_dct2_ortho(x, 20)).max() < 1e-10
+    frames = rng.normal(size=(5, 64))
+    for keep in (20, 64):
+        expected = np.stack([oracles.direct_dct2_ortho(row, keep) for row in frames])
+        assert np.abs(dct2_ortho(frames, keep) - expected).max() < 1e-10
 
 
 def test_dct_keep_out_of_range():
@@ -191,12 +200,42 @@ def test_mfcc_matches_brute_force_oracle_sine():
     assert np.abs(produced - expected).max() < 1e-6
 
 
-def test_mfcc_sparse_mel_product_matches_the_dense_filterbank():
-    t = np.arange(80000) / 16000
-    for clip in (pink_clip(3), AudioClip(0.5 * np.sin(2 * np.pi * 440 * t), 16000)):
-        mel_power = power_spectrum(frame_signal(clip, CFG)) @ mel_filterbank(CFG, 16000).T
-        dense = dct2_ortho(power_to_db(mel_power, CFG.log_floor), CFG.n_mfcc)
-        assert np.abs(mfcc_frames(clip, CFG).values - dense).max() <= 1e-12
+def test_mfcc_mel_product_matches_the_dense_filterbank():
+    coarse = FeatureConfig(fft_size=256, hop=128)
+    assert (mel_filterbank(coarse, 16000).max(axis=1) == 0).sum() == 13  # filters between bins
+    cases = [
+        (CFG, 16000),
+        (FeatureConfig(n_mels=100), 16000),  # not a whole number of filter groups
+        (FeatureConfig(fmin=300.0, fmax=4000.0), 16000),  # leading and trailing bins unused
+        (coarse, 16000),
+        (CFG, 22050),
+    ]
+    for cfg, rate in cases:
+        t = np.arange(5 * rate) / rate
+        for clip in (pink_clip(3, 5 * rate, rate), AudioClip(0.5 * np.sin(2 * np.pi * 440 * t), rate)):
+            mel_power = power_spectrum(frame_signal(clip, cfg)) @ mel_filterbank(cfg, rate).T
+            dense = dct2_ortho(power_to_db(mel_power, cfg.log_floor), cfg.n_mfcc)
+            assert np.abs(mfcc_frames(clip, cfg).values - dense).max() <= 1e-12, (cfg, rate)
+
+
+def test_the_package_loads_no_third_party_module_but_numpy():
+    # a fresh interpreter: modules that site loaded before the program runs do not count
+    program = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import numpy as np\n"
+        "import woodwatch, woodwatch.cli, woodwatch.ingest.server\n"
+        "from woodwatch.audio import AudioClip\n"
+        "from woodwatch.features import mfcc_frames\n"
+        "mfcc_frames(AudioClip(np.zeros(16000), 16000))\n"
+        "loaded = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
+        "print(sorted(loaded - set(sys.stdlib_module_names)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(woodwatch.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", program], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "['numpy', 'woodwatch']"
 
 
 def test_mfcc_deterministic():
