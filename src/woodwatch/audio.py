@@ -51,18 +51,36 @@ class ClipLabel(enum.IntEnum):
 
 @dataclass(frozen=True)
 class AudioClip:
-    """Immutable mono audio. Amplitudes are clamped to [-1, 1] on creation."""
+    """Immutable mono audio. The constructor clamps amplitudes to [-1, 1];
+    ``from_pcm16`` needs no clamp."""
 
     samples: np.ndarray
     sample_rate: int
 
     def __post_init__(self):
+        self._adopt(np.clip(np.asarray(self.samples, dtype=np.float64), -1.0, 1.0))
+
+    def _adopt(self, samples: np.ndarray) -> None:
         if int(self.sample_rate) <= 0:
             raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
-        samples = np.clip(np.asarray(self.samples, dtype=np.float64), -1.0, 1.0)
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "sample_rate", int(self.sample_rate))
+
+    @classmethod
+    def _in_range(cls, samples: np.ndarray, sample_rate: int) -> "AudioClip":
+        """Wrap a float64 array that already lies in [-1, 1] and that no one
+        else holds: no clamp and no copy."""
+        clip = object.__new__(cls)
+        object.__setattr__(clip, "sample_rate", sample_rate)
+        clip._adopt(samples)
+        return clip
+
+    @classmethod
+    def from_pcm16(cls, pcm: np.ndarray, sample_rate: int) -> "AudioClip":
+        """int16 samples as a clip: ``AudioClip(pcm16_to_float(pcm), rate)``
+        bit for bit, in one array, since int16 * 2**-15 lies in [-1, 1)."""
+        return cls._in_range(pcm16_to_float(pcm), sample_rate)
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -130,7 +148,7 @@ def read_wav_pcm16(path: str | Path) -> tuple[np.ndarray, int]:
 def load_wav(path: str | Path) -> AudioClip:
     """Load a 16-bit PCM WAV file as a mono AudioClip."""
     pcm, rate = read_wav_pcm16(path)
-    return AudioClip(pcm16_to_float(pcm), rate)
+    return AudioClip.from_pcm16(pcm, rate)
 
 
 def write_wav_pcm16(path: str | Path, pcm: np.ndarray, rate: int) -> None:
@@ -155,7 +173,8 @@ def resample_linear(clip: AudioClip, target_rate: int) -> AudioClip:
     clip unchanged. When the source rate is an integer multiple k of the
     target (48 kHz to 16 kHz, say), every position is an input sample and
     never past the last, so the output is every k-th sample: what the
-    interpolation gives at its knots, bit for bit.
+    interpolation gives at its knots, bit for bit, in a compact copy that is
+    not clamped again, so the source clip can be freed.
     """
     if target_rate <= 0:
         raise ValueError(f"target_rate must be positive, got {target_rate}")
@@ -167,7 +186,7 @@ def resample_linear(clip: AudioClip, target_rate: int) -> AudioClip:
         return AudioClip(np.zeros(n_out), target_rate)
     step, remainder = divmod(clip.sample_rate, target_rate)
     if remainder == 0:
-        return AudioClip(clip.samples[: n_out * step : step], target_rate)
+        return AudioClip._in_range(np.ascontiguousarray(clip.samples[: n_out * step : step]), target_rate)
     positions = np.arange(n_out) * (clip.sample_rate / target_rate)
     out = np.interp(positions, np.arange(n_in), clip.samples)
     return AudioClip(out, target_rate)

@@ -11,20 +11,25 @@ dropped. A gap whose fill would exceed one clip is a protocol error that
 ends the connection, so one frame cannot make the server allocate without
 bound. So is a first frame
 whose sample rate lies outside 8-192 kHz: at an absurd rate a clip never
-fills, or one frame makes thousands of clips. Every time a full clip
-(CANONICAL_SECONDS of samples, the window ``extract`` cuts for training)
-accumulates, the clip is resampled to the canonical rate if needed,
-featurized, classified with the loaded checkpoint, and appended to the
-JSON-lines store by the connection's own thread under one lock. An
-archived clip is the PCM as it arrived and never replaces an earlier one
-of the same name.
+fills, or one frame makes thousands of clips. Each clip is
+CANONICAL_SECONDS of samples, the window ``extract`` cuts for training.
+A clip's MFCC rows come from two passes when the stream's rate is a
+multiple of CANONICAL_RATE: the head pass computes rows [0, HEAD_ROWS) as
+soon as their span has arrived, and once the clip is full the tail pass
+computes the rest. Each row depends only on its own window, so the rows are
+bit-equal to one pass over the whole clip, which every other rate still
+takes at the clip's end. Each pass resamples its span to the canonical rate
+if needed. The full clip's rows are then classified with the loaded
+checkpoint, and the record is appended to the JSON-lines store, all by the
+connection's own thread, the append under one lock. An archived clip is
+the PCM as it arrived and never replaces an earlier one of the same name.
 Malformed frames, a frame cut by a close, store failures and broken
 connections are counted, never fatal, and so are the samples of a partial
 clip a connection holds when it ends. A frame must arrive in full within
 IDLE_TIMEOUT_S of the moment the connection starts waiting for it, or the
 connection is closed, so neither a silent client nor one that drips bytes
-can hold a thread. At most MAX_CLASSIFYING clips are classified at once;
-the other connections wait.
+can hold a thread. At most MAX_CLASSIFYING passes run at once, a head pass
+or a clip's last pass with its classification; the other connections wait.
 """
 
 from __future__ import annotations
@@ -33,20 +38,22 @@ import contextlib
 import io
 import itertools
 import logging
+import math
 import select
 import socket
 import threading
 import time
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from ..allocator import keep_malloc_heap
-from ..audio import (CANONICAL_RATE, CANONICAL_SECONDS, AudioClip, ClipLabel, pcm16_to_float,
-                     resample_linear, segment_samples, write_wav_pcm16)
+from ..audio import (CANONICAL_RATE, CANONICAL_SECONDS, AudioClip, ClipLabel, resample_linear,
+                     segment_samples, write_wav_pcm16)
 from ..errors import IntegrityError, ProtocolError, ServerStartupError, TruncationError
-from ..features import mfcc_frames
+from ..features import FeatureConfig, mfcc_frames
 from ..models import load_model, predict, to_model_input
 from . import protocol
 from .store import DetectionRecord, append_records
@@ -60,9 +67,47 @@ MAX_SAMPLE_RATE = 192_000
 DEFAULT_HOST = "127.0.0.1"
 IDLE_TIMEOUT_S = 30.0  # the time a whole frame may take, counted from when the connection waits for it
 MAX_CONNECTIONS = 256  # served at once: a device sends a clip every 5 s, one core classifies hundreds
-# classify passes at once: the GIL serialises their Python parts, so more gain
-# no throughput, and each holds up to 16 MB of temporaries (a 192 kHz clip)
+# MFCC passes at once (a head pass, or a clip's last pass and its classification):
+# the GIL serialises their Python parts, so more gain no throughput, and each
+# holds up to 8.3 MB of temporaries (a whole 192 kHz clip)
 MAX_CLASSIFYING = 2
+# MFCC rows of a clip that its head pass computes before the clip's last frame
+# arrives: 128 of 157 at the default FeatureConfig
+HEAD_ROWS = 128
+
+
+class _Split(NamedTuple):
+    """Where a clip's two MFCC passes read, in samples at the stream's rate."""
+
+    head_end: int  # the head pass reads [0, head_end) and keeps its first HEAD_ROWS rows
+    tail_start: int  # the tail pass reads [tail_start, clip end) ...
+    tail_skip: int  # ... and drops its first tail_skip rows
+
+
+def _two_pass_split(cfg: FeatureConfig, sample_rate: int, clip_samples: int) -> _Split | None:
+    """The split of a clip into a head and a tail pass whose rows are bit-equal
+    to one pass over the whole clip, or None when the clip takes that one pass:
+    at a rate that is not a multiple of CANONICAL_RATE (interpolation mixes
+    samples across any cut) or a clip too short for HEAD_ROWS rows and a tail.
+
+    Row r is the fft_size window centred on sample r * hop at the canonical
+    rate, with the clip reflected at both ends. The head span ends with row
+    HEAD_ROWS - 1's window, so no kept head row reaches the span's own right
+    reflection. The tail span starts tail_skip rows before row HEAD_ROWS, and
+    the rows it drops are the ones that reach its own left reflection.
+    """
+    step, remainder = divmod(sample_rate, CANONICAL_RATE)
+    if remainder or clip_samples % step:
+        return None
+    n, half, hop = clip_samples // step, cfg.fft_size // 2, cfg.hop
+    skip = -(-half // hop)
+    head_end = (HEAD_ROWS - 1) * hop + half
+    tail_start = (HEAD_ROWS - skip) * hop
+    if not (half < head_end <= n and skip <= HEAD_ROWS <= n // hop and n - tail_start > half):
+        return None
+    return _Split(head_end * step, tail_start * step, skip)
+
+
 def _claim_wav_path(directory: Path, stem: str) -> Path:
     """Create and return ``{stem}.wav``, or the first free ``{stem}-{n}.wav``
     (n = 1, 2, ...) when that name is taken: a device that reconnects, and a
@@ -78,15 +123,32 @@ def _claim_wav_path(directory: Path, stem: str) -> Path:
 
 
 class _DeviceSession:
-    """Reassembly state for one device connection."""
+    """Reassembly state for one device connection, and the head rows of the clip it fills."""
 
-    def __init__(self):
+    def __init__(self, feature_config: FeatureConfig = FeatureConfig()):
+        self.feature_config = feature_config
         self.device_id: int | None = None
         self.sample_rate: int | None = None
         self.clip_bytes = 0  # CANONICAL_SECONDS of samples, at the first frame's rate
         self.next_seq = 0
         self.pending = bytearray()  # PCM bytes not yet cut into a clip
         self.stream_position = 0  # sample index of the next clip start, from the first frame
+        self.split: _Split | None = None  # None: each clip takes one pass at its end
+        # len(pending) at which the head pass of the clip being filled is due;
+        # clip_bytes once it ran or when there is none, since accept cuts a full clip
+        self.head_due: float = math.inf
+        self.head_rows: np.ndarray | None = None  # its rows [0, HEAD_ROWS), once it ran
+
+    def take_head_span(self) -> np.ndarray:
+        """The head span of the clip being filled, whose head pass is then no longer due."""
+        self.head_due = self.clip_bytes
+        return np.frombuffer(self.pending[: 2 * self.split.head_end], dtype="<i2")
+
+    def take_head_rows(self) -> np.ndarray | None:
+        """The head rows of the clip just cut, if its head pass ran; the next clip's head pass is then due."""
+        rows, self.head_rows = self.head_rows, None
+        self.head_due = 2 * self.split.head_end if self.split else self.clip_bytes
+        return rows
 
     def accept(self, frame: protocol.DeviceFrame, stats: "_Stats") -> list[np.ndarray]:
         """Fold one validated frame in; returns any completed clips.
@@ -102,6 +164,8 @@ class _DeviceSession:
             self.sample_rate = frame.sample_rate
             self.clip_bytes = 2 * segment_samples(CANONICAL_SECONDS, frame.sample_rate)
             self.next_seq = frame.seq  # a device may resume its numbering on a new connection
+            self.split = _two_pass_split(self.feature_config, frame.sample_rate, self.clip_bytes // 2)
+            self.take_head_rows()  # arms the first clip's head pass
         if frame.device_id != self.device_id or frame.sample_rate != self.sample_rate:
             stats.bump("protocol_errors")
             return []
@@ -272,7 +336,7 @@ class IngestServer:
 
     def _serve(self, conn: socket.socket) -> None:
         """Read one device's frames, classifying and storing each clip, until the stream ends."""
-        session = _DeviceSession()
+        session = _DeviceSession(self._feature_config)
         stream = _FrameDeadlineReader(conn)
         try:
             while True:
@@ -297,6 +361,8 @@ class IngestServer:
                     break
                 for clip_pcm in clips:
                     self.process_clip(session, clip_pcm)
+                if len(session.pending) >= session.head_due:
+                    self.run_head_pass(session)
         finally:
             self.stats.bump("dropped_samples", len(session.pending) // 2)
             conn.close()
@@ -306,23 +372,49 @@ class IngestServer:
 
     # -- classification path -------------------------------------------------
 
-    def classify_pcm(self, pcm: np.ndarray, sample_rate: int) -> tuple[str, float]:
-        """Label and P(infested) for one clip of int16 samples."""
-        clip = AudioClip(pcm16_to_float(pcm), sample_rate)
+    def featurize_pcm(self, pcm: np.ndarray, sample_rate: int) -> np.ndarray:
+        """MFCC rows, [T, n_mfcc], of int16 samples resampled to the canonical rate."""
+        clip = AudioClip.from_pcm16(pcm, sample_rate)
         if sample_rate != CANONICAL_RATE:
             clip = resample_linear(clip, CANONICAL_RATE)
-        matrix = mfcc_frames(clip, self._feature_config)
-        x = to_model_input(self._kind, matrix.values[None], self._stats_norm)
+        return mfcc_frames(clip, self._feature_config).values
+
+    def score_rows(self, rows: np.ndarray) -> tuple[str, float]:
+        """Label and P(infested) for one clip's MFCC rows."""
+        x = to_model_input(self._kind, rows[None], self._stats_norm)
         probs, labels = predict(self._graph, x)
         return ClipLabel(labels[0]).text, float(probs[0, 1])
+
+    def classify_pcm(self, pcm: np.ndarray, sample_rate: int) -> tuple[str, float]:
+        """Label and P(infested) for one clip of int16 samples, from one pass over the whole clip."""
+        return self.score_rows(self.featurize_pcm(pcm, sample_rate))
+
+    def run_head_pass(self, session: _DeviceSession) -> None:
+        """Compute the head rows of the clip the session is filling, whose head span has arrived.
+
+        A failure is logged and leaves no rows, so the clip takes one pass at its end.
+        """
+        head = session.take_head_span()
+        try:
+            with self._classifying:
+                session.head_rows = self.featurize_pcm(head, session.sample_rate)[:HEAD_ROWS]
+        except Exception:
+            log.exception("head pass failed for device %s; its clip takes one pass at its end",
+                          session.device_id)
 
     def process_clip(self, session: _DeviceSession, clip_pcm: np.ndarray) -> None:
         start = session.stream_position
         session.stream_position += len(clip_pcm)
         index = start // len(clip_pcm)
+        head_rows = session.take_head_rows()
         try:  # a non-finite P(infested) fails in DetectionRecord: counted here too
             with self._classifying:
-                label, p_infested = self.classify_pcm(clip_pcm, session.sample_rate)
+                if head_rows is None:
+                    rows = self.featurize_pcm(clip_pcm, session.sample_rate)
+                else:
+                    tail = self.featurize_pcm(clip_pcm[session.split.tail_start :], session.sample_rate)
+                    rows = np.concatenate([head_rows, tail[session.split.tail_skip :]])
+                label, p_infested = self.score_rows(rows)
             record = DetectionRecord(
                 timestamp=datetime.now(timezone.utc).isoformat(),
                 device_id=session.device_id,

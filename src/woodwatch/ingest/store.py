@@ -11,6 +11,8 @@ from ..audio import ClipLabel
 
 log = logging.getLogger(__name__)
 
+_LABEL_NAMES = frozenset(label.text for label in ClipLabel)
+
 
 @dataclass(frozen=True)
 class DetectionRecord:
@@ -23,7 +25,7 @@ class DetectionRecord:
     checkpoint_id: str
 
     def __post_init__(self):
-        if self.label not in [label.text for label in ClipLabel]:
+        if self.label not in _LABEL_NAMES:
             raise ValueError(f"label must be a ClipLabel name, got {self.label!r}")
         if not 0.0 <= self.p_infested <= 1.0:
             raise ValueError(f"p_infested must be in [0, 1], got {self.p_infested}")
@@ -53,36 +55,42 @@ def append_records(path: str | Path, records: list[DetectionRecord]) -> None:
             fh.write(record.to_json_line() + "\n")
 
 
-def load_store(path: str | Path) -> tuple[list[DetectionRecord], int]:
-    """All parseable records plus the count of corrupt lines skipped."""
+def _read_store(path: str | Path, keep) -> tuple[list[DetectionRecord], int]:
+    """The parseable records for which ``keep(record)`` holds, plus the count of
+    corrupt lines skipped. Reads a line at a time, so memory grows with the
+    records kept, not with the file."""
     records: list[DetectionRecord] = []
     corrupt = 0
-    text = Path(path).read_text(encoding="utf-8")
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            records.append(DetectionRecord.from_dict(json.loads(line)))
-        except (KeyError, TypeError, ValueError):
-            corrupt += 1
-            log.warning("skipping corrupt store line %d in %s", line_no, path)
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                record = DetectionRecord.from_dict(json.loads(line))
+            except (KeyError, TypeError, ValueError):
+                corrupt += 1
+                log.warning("skipping corrupt store line %d in %s", line_no, path)
+                continue
+            if keep(record):
+                records.append(record)
     return records, corrupt
+
+
+def load_store(path: str | Path) -> tuple[list[DetectionRecord], int]:
+    """All parseable records plus the count of corrupt lines skipped."""
+    return _read_store(path, lambda record: True)
 
 
 def query_store(path: str | Path, device_id: int | None = None, label: str | None = None,
                 since: str | None = None, until: str | None = None) -> list[DetectionRecord]:
     """Filtered records in timestamp order. Corrupt lines are skipped with a warning."""
-    records, _ = load_store(path)
-    out = []
-    for record in records:
-        if device_id is not None and record.device_id != device_id:
-            continue
-        if label is not None and record.label != label:
-            continue
-        if since is not None and record.timestamp < since:
-            continue
-        if until is not None and record.timestamp > until:
-            continue
-        out.append(record)
+
+    def hit(record: DetectionRecord) -> bool:
+        return ((device_id is None or record.device_id == device_id)
+                and (label is None or record.label == label)
+                and (since is None or record.timestamp >= since)
+                and (until is None or record.timestamp <= until))
+
+    out, _ = _read_store(path, hit)
     out.sort(key=lambda r: r.timestamp)
     return out

@@ -169,6 +169,27 @@ def test_pcm16_to_float_is_the_division_for_every_int16():
     assert pcm16_to_float(pcm).tobytes() == (np.asarray(pcm, dtype=np.float64) / 32768).tobytes()
 
 
+@pytest.mark.parametrize("rate", [16_000, 192_000])
+def test_a_clip_from_pcm16_is_the_clamped_clip_bit_for_bit(rate):
+    pcm = np.arange(-32768, 32768, dtype="<i2")
+    clip = AudioClip.from_pcm16(pcm, rate)
+    assert clip.samples.tobytes() == AudioClip(pcm16_to_float(pcm), rate).samples.tobytes()
+    assert clip.sample_rate == rate
+    with pytest.raises(ValueError):
+        clip.samples[0] = 0.5
+    with pytest.raises(ValueError):
+        AudioClip.from_pcm16(pcm, 0)
+
+
+def test_an_integer_ratio_resample_owns_a_compact_read_only_copy():
+    clip = AudioClip.from_pcm16(np.arange(-32768, 32768, dtype="<i2"), 48_000)
+    out = resample_linear(clip, 16_000)
+    assert out.samples.base is None and out.samples.flags.c_contiguous  # holds nothing of the source
+    assert out.samples.tobytes() == clip.samples[: 3 * len(out) : 3].tobytes()
+    with pytest.raises(ValueError):
+        out.samples[0] = 0.5
+
+
 def test_write_wav_pcm16_writes_what_save_wav_writes(tmp_path):
     pcm = np.arange(-32768, 32768, dtype="<i2")
     write_wav_pcm16(tmp_path / "pcm.wav", pcm, 192_000)

@@ -22,7 +22,7 @@ from woodwatch import allocator
 from woodwatch.audio import (CANONICAL_RATE, AudioClip, float_to_pcm16, pcm16_to_float, read_wav_pcm16,
                              resample_linear, save_wav)
 from woodwatch.errors import ServerStartupError, TransportError
-from woodwatch.features import apply_standardize, mfcc_frames
+from woodwatch.features import FeatureConfig, apply_standardize, mfcc_frames
 from woodwatch.ingest import (
     DetectionRecord,
     IngestServer,
@@ -88,6 +88,23 @@ def test_query_store_filters_match_linear_scan(tmp_path):
     )
     assert got == expected
     assert [r for r in query_store(path, label="infested") if r.label != "infested"] == []
+
+
+def test_a_store_query_holds_its_hits_not_the_file(tmp_path):
+    path = tmp_path / "store.jsonl"
+    miss = record("2026-01-01T00:00:00+00:00", device=1).to_json_line() + "\n"
+    hit = record("2026-01-01T00:00:00+00:00", device=2).to_json_line() + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        for i in range(200_000):
+            fh.write(hit if i % 20_000 == 0 else miss)
+    tracemalloc.start()
+    try:
+        hits = query_store(path, device_id=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(hits) == 10
+    assert peak < 1e6  # the file is 32 MB; the whole text and a record per line held several times that
 
 
 def test_record_validation():
@@ -264,7 +281,7 @@ def test_the_archive_holds_the_pcm_as_it_arrived(running_server, tmp_path):
     assert (archive / "device6_clip0000.wav").read_bytes() == (tmp_path / "round_trip.wav").read_bytes()
 
 
-def test_a_192_khz_classify_pass_holds_under_20_mb(running_server):
+def test_a_192_khz_classify_pass_holds_under_10_mb(running_server):
     server, _, _ = running_server
     pcm = (np.random.default_rng(7).standard_normal(5 * 192_000) * 3000).astype("<i2")
     server.classify_pcm(pcm, 192_000)  # fills the feature caches
@@ -274,7 +291,7 @@ def test_a_192_khz_classify_pass_holds_under_20_mb(running_server):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 20e6  # 15.4 MB: the int16 clip as float64 and its clamped copy
+    assert peak < 10e6  # the clip as float64 and the every-12th-sample copy; a clamped copy made 15.4 MB
 
 
 def test_three_concurrent_devices(running_server, tmp_path):
@@ -574,14 +591,14 @@ def test_store_failure_is_counted_not_fatal(running_server, monkeypatch):
 
 def test_unbuildable_record_is_a_classify_error(running_server, monkeypatch, capfd):
     server, store, _ = running_server
-    real_classify = server.classify_pcm
+    real_score = server.score_rows
     calls = []
 
-    def nan_first(pcm, sample_rate):
-        calls.append(sample_rate)
-        return ("infested", float("nan")) if len(calls) == 1 else real_classify(pcm, sample_rate)
+    def nan_first(rows):
+        calls.append(len(rows))
+        return ("infested", float("nan")) if len(calls) == 1 else real_score(rows)
 
-    monkeypatch.setattr(server, "classify_pcm", nan_first)
+    monkeypatch.setattr(server, "score_rows", nan_first)
     clip = gen_clean_clip(SynthConfig(duration_s=10.0, snr_db=12.0), seed=510)  # two windows
     sent = simulate_device("127.0.0.1", server.port, clip, device_id=21)
     assert wait_for(lambda: server.stats.snapshot()["records_written"] == 1)
@@ -649,7 +666,7 @@ def test_a_connection_over_the_cap_is_closed_and_counted(served_checkpoint, tmp_
 def test_at_most_max_classifying_clips_are_classified_at_once(served_checkpoint, tmp_path, monkeypatch):
     running, most = [0], [0]
     lock = threading.Lock()
-    classify = IngestServer.classify_pcm
+    featurize = IngestServer.featurize_pcm  # each MFCC pass, head, tail or whole clip
 
     def counted(self, pcm, sample_rate):
         with lock:
@@ -657,12 +674,12 @@ def test_at_most_max_classifying_clips_are_classified_at_once(served_checkpoint,
             most[0] = max(most[0], running[0])
         time.sleep(0.2)  # long enough for every handler to get here
         try:
-            return classify(self, pcm, sample_rate)
+            return featurize(self, pcm, sample_rate)
         finally:
             with lock:
                 running[0] -= 1
 
-    monkeypatch.setattr(IngestServer, "classify_pcm", counted)
+    monkeypatch.setattr(IngestServer, "featurize_pcm", counted)
     server = IngestServer(0, served_checkpoint, tmp_path / "store.jsonl")
     server.start()
     try:
@@ -937,3 +954,143 @@ def test_a_served_clip_scores_bit_equal_to_the_offline_pass(running_server, serv
     matrix = mfcc_frames(resample_linear(sent, CANONICAL_RATE), config)
     probs, _ = predict(graph, apply_standardize(matrix, stats)[None])
     assert record.p_infested == float(probs[0, 1])
+
+
+# -- two MFCC passes per clip -------------------------------------------------------------
+
+def offline_rows(pcm, rate, cfg=FeatureConfig()):
+    """The MFCC rows of one pass over int16 samples, as the offline pipeline computes them."""
+    clip = AudioClip(pcm16_to_float(pcm), rate)
+    if rate != CANONICAL_RATE:
+        clip = resample_linear(clip, CANONICAL_RATE)
+    return mfcc_frames(clip, cfg).values
+
+
+SPLIT_CONFIGS = {
+    "default": FeatureConfig(),
+    "1024-256": FeatureConfig(fft_size=1024, hop=256),
+    "512-160": FeatureConfig(fft_size=512, hop=160, n_mels=40, n_mfcc=13),
+    "hop-300": FeatureConfig(hop=300),  # fft_size / 2 is no multiple of hop: 4 tail rows dropped
+}
+
+
+@pytest.mark.parametrize("rate", [16_000, 32_000, 48_000, 96_000, 192_000])
+@pytest.mark.parametrize("config", SPLIT_CONFIGS)
+def test_two_passes_give_the_whole_clip_rows_bit_for_bit(config, rate, monkeypatch):
+    cfg = SPLIT_CONFIGS[config]
+    pcm = (np.random.default_rng([rate, cfg.hop]).standard_normal(5 * rate) * 3000).astype("<i2")
+    whole = offline_rows(pcm, rate, cfg)
+    skip = -(-cfg.fft_size // 2 // cfg.hop)
+    last = (5 * CANONICAL_RATE - cfg.fft_size // 2) // cfg.hop + 1  # the most rows a head span holds
+    for head_rows in (skip, 64, server_module.HEAD_ROWS, last):
+        monkeypatch.setattr(server_module, "HEAD_ROWS", head_rows)
+        split = server_module._two_pass_split(cfg, rate, len(pcm))
+        head = offline_rows(pcm[: split.head_end], rate, cfg)[:head_rows]
+        tail = offline_rows(pcm[split.tail_start :], rate, cfg)[split.tail_skip :]
+        assert np.array_equal(np.concatenate([head, tail]), whole), head_rows
+    for head_rows in (skip - 1, last + 1):  # a head without the rows the tail drops; one past the clip
+        monkeypatch.setattr(server_module, "HEAD_ROWS", head_rows)
+        assert server_module._two_pass_split(cfg, rate, len(pcm)) is None
+
+
+@pytest.fixture()
+def served_passes(running_server, monkeypatch):
+    """The samples each MFCC pass of the running server reads, and the rows of each clip it scores."""
+    server = running_server[0]
+    spans, scored = [], []
+    featurize, score = server.featurize_pcm, server.score_rows
+
+    def featurize_logged(pcm, sample_rate):
+        spans.append(len(pcm))
+        return featurize(pcm, sample_rate)
+
+    def score_logged(rows):
+        scored.append(rows)
+        return score(rows)
+
+    monkeypatch.setattr(server, "featurize_pcm", featurize_logged)
+    monkeypatch.setattr(server, "score_rows", score_logged)
+    return spans, scored
+
+
+HEAD_SPAN = (server_module.HEAD_ROWS - 1) * 512 + 1024  # at 16 kHz and the default FeatureConfig
+TAIL_SPAN = 80_000 - (server_module.HEAD_ROWS - 2) * 512
+
+
+@pytest.mark.parametrize("rate, spans", [
+    (16_000, [HEAD_SPAN, TAIL_SPAN]),
+    (48_000, [3 * HEAD_SPAN, 3 * TAIL_SPAN]),
+    (44_100, [5 * 44_100]),  # not a multiple of 16 kHz: one pass at the clip's end
+])
+def test_a_served_clip_is_scored_on_the_whole_clip_rows(running_server, served_passes, served_checkpoint,
+                                                        rate, spans):
+    server, store, _ = running_server
+    pcm = (np.random.default_rng(rate).standard_normal(5 * rate) * 3000).astype("<i2")
+    with socket.create_connection(("127.0.0.1", server.port)) as conn:
+        conn.sendall(b"".join(frames_of(41, pcm, rate)))
+    assert wait_for(lambda: server.stats.snapshot()["records_written"] == 1)
+    assert served_passes[0] == spans
+    [rows] = served_passes[1]
+    assert np.array_equal(rows, offline_rows(pcm, rate))
+    graph, _, config, stats, _ = load_model(served_checkpoint)
+    probs, _ = predict(graph, apply_standardize(offline_rows(pcm, rate, config), stats)[None])
+    assert load_store(store)[0][0].p_infested == float(probs[0, 1])
+
+
+def test_a_gap_filled_inside_the_head_span_is_in_the_head_rows(running_server, served_passes):
+    server, _, _ = running_server
+    pcm = (np.random.default_rng(518).standard_normal(80_000) * 3000).astype("<i2")
+    with socket.create_connection(("127.0.0.1", server.port)) as conn:
+        conn.sendall(b"".join(frame for seq, frame in enumerate(frames_of(42, pcm)) if seq != 3))
+    assert wait_for(lambda: server.stats.snapshot()["records_written"] == 1)
+    assert server.stats.snapshot()["sequence_gaps"] == 1
+    zero_filled = pcm.copy()
+    zero_filled[3 * 2500 : 4 * 2500] = 0
+    assert served_passes[0] == [HEAD_SPAN, TAIL_SPAN]
+    assert np.array_equal(served_passes[1][0], offline_rows(zero_filled, 16_000))
+
+
+def test_one_frame_completes_a_clip_and_starts_the_next(running_server, served_passes):
+    server, store, _ = running_server
+    pcm = (np.random.default_rng(519).standard_normal(300_000) * 3000).astype("<i2")
+    with socket.create_connection(("127.0.0.1", server.port)) as conn:
+        conn.sendall(b"".join(frames_of(43, pcm, frame_samples=75_000)))
+    assert wait_for(lambda: server.stats.snapshot()["dropped_samples"] == 60_000)
+    assert server.stats.snapshot()["records_written"] == 3
+    # frame 1 ends clip 0 and brings clip 1's head span; clip 2's head span was
+    # not in before its last frame, so it takes one pass
+    assert served_passes[0] == [HEAD_SPAN, TAIL_SPAN, HEAD_SPAN, TAIL_SPAN, 80_000]
+    for k, rows in enumerate(served_passes[1]):
+        assert np.array_equal(rows, offline_rows(pcm[k * 80_000 : (k + 1) * 80_000], 16_000)), k
+    assert [r.clip_start for r in load_store(store)[0]] == [0, 80_000, 160_000]
+
+
+def test_a_connection_that_ends_after_its_head_pass_writes_no_record(running_server, served_passes):
+    server, store, _ = running_server
+    pcm = np.arange(27 * 2500, dtype="<i2")  # past the head span, short of a clip
+    with socket.create_connection(("127.0.0.1", server.port)) as conn:
+        conn.sendall(b"".join(frames_of(44, pcm)))
+    expected = dict.fromkeys(server.stats.snapshot(), 0)
+    expected.update(frames_ok=27, dropped_samples=27 * 2500)
+    assert wait_for(lambda: server.stats.snapshot() == expected), server.stats.snapshot()
+    assert served_passes == ([HEAD_SPAN], [])
+    assert load_store(store)[0] == []
+
+
+def test_a_failed_head_pass_leaves_its_clip_one_pass_at_the_end(running_server, monkeypatch):
+    server, store, _ = running_server
+    featurize, spans = server.featurize_pcm, []
+
+    def fail_first(pcm, sample_rate):
+        spans.append(len(pcm))
+        if len(spans) == 1:
+            raise MemoryError("no room for the head pass")
+        return featurize(pcm, sample_rate)
+
+    monkeypatch.setattr(server, "featurize_pcm", fail_first)
+    pcm = (np.random.default_rng(520).standard_normal(80_000) * 3000).astype("<i2")
+    with socket.create_connection(("127.0.0.1", server.port)) as conn:
+        conn.sendall(b"".join(frames_of(45, pcm)))
+    assert wait_for(lambda: server.stats.snapshot()["records_written"] == 1)
+    assert spans == [HEAD_SPAN, 80_000] and server.stats.snapshot()["classify_errors"] == 0
+    assert [r.device_id for r in load_store(store)[0]] == [45]
