@@ -192,6 +192,23 @@ def resample_linear(clip: AudioClip, target_rate: int) -> AudioClip:
     return AudioClip(out, target_rate)
 
 
+def decimate_pcm16(pcm: np.ndarray, sample_rate: int, target_rate: int) -> tuple[np.ndarray, int]:
+    """int16 samples taken down to ``target_rate`` where that needs no
+    interpolation, and their rate.
+
+    When ``sample_rate`` is an integer multiple k > 1 of ``target_rate``,
+    every k-th sample and ``target_rate``: ``AudioClip.from_pcm16`` of them is
+    ``resample_linear(AudioClip.from_pcm16(pcm, sample_rate), target_rate)``
+    bit for bit, with a k-th of the float64 conversion. At any other rate,
+    ``pcm`` and ``sample_rate`` unchanged, for ``resample_linear``.
+    """
+    step, remainder = divmod(sample_rate, target_rate)
+    if remainder or step < 2:
+        return pcm, sample_rate
+    n_out = int(round(len(pcm) * target_rate / sample_rate))  # as resample_linear counts them
+    return pcm[: n_out * step : step], target_rate
+
+
 def segment_samples(length_s: float, sample_rate: int) -> int:
     """round(length_s * sample_rate); ValueError for a length that is not
     finite or rounds below one sample."""

@@ -91,8 +91,8 @@ def _cmd_extract(args) -> int:
     codes = {label.text: int(label) for label in audio.ClipLabel}
     ids, labels, matrices = [], [], []
     for wav_path in wavs:
-        clip = audio.load_wav(wav_path)
-        clip = audio.resample_linear(clip, audio.CANONICAL_RATE)
+        pcm, rate = audio.decimate_pcm16(*audio.read_wav_pcm16(wav_path), audio.CANONICAL_RATE)
+        clip = audio.resample_linear(audio.AudioClip.from_pcm16(pcm, rate), audio.CANONICAL_RATE)
         segments = audio.segment_clip(clip, audio.CANONICAL_SECONDS)
         label = codes.get(wav_path.parent.name, -1)
         for k, segment in enumerate(segments):

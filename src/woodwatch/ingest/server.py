@@ -14,15 +14,20 @@ whose sample rate lies outside 8-192 kHz: at an absurd rate a clip never
 fills, or one frame makes thousands of clips. Each clip is
 CANONICAL_SECONDS of samples, the window ``extract`` cuts for training.
 A clip's MFCC rows come from two passes when the stream's rate is a
-multiple of CANONICAL_RATE: the head pass computes rows [0, HEAD_ROWS) as
-soon as their span has arrived, and once the clip is full the tail pass
-computes the rest. Each row depends only on its own window, so the rows are
-bit-equal to one pass over the whole clip, which every other rate still
-takes at the clip's end. Each pass resamples its span to the canonical rate
-if needed. The full clip's rows are then classified with the loaded
-checkpoint, and the record is appended to the JSON-lines store, all by the
-connection's own thread, the append under one lock. An archived clip is
-the PCM as it arrived and never replaces an earlier one of the same name.
+multiple of CANONICAL_RATE: the head pass computes rows [0, HEAD_ROWS) once
+their span has arrived and the connection has no received byte waiting, and
+once the clip is full the tail pass computes the rest. While bytes wait, the
+rest of the clip may be in already, and then a head pass could not make the
+record earlier; so the head pass waits for the first idle moment after its
+span, and a clip that finds none before its last frame takes one pass over
+the whole clip at its end, as every other rate does. Each row depends only on
+its own window, so the rows are bit-equal either way. Each pass takes its
+span to the canonical rate: every k-th int16 sample at k times that rate,
+interpolation at any other. The full clip's rows are then classified
+with the loaded checkpoint, and the record is appended to the JSON-lines
+store, all by the connection's own thread, the append under one lock. An
+archived clip is the PCM as it arrived and never replaces an earlier one of
+the same name.
 Malformed frames, a frame cut by a close, store failures and broken
 connections are counted, never fatal, and so are the samples of a partial
 clip a connection holds when it ends. A frame must arrive in full within
@@ -50,8 +55,8 @@ from typing import NamedTuple
 import numpy as np
 
 from ..allocator import keep_malloc_heap
-from ..audio import (CANONICAL_RATE, CANONICAL_SECONDS, AudioClip, ClipLabel, resample_linear,
-                     segment_samples, write_wav_pcm16)
+from ..audio import (CANONICAL_RATE, CANONICAL_SECONDS, AudioClip, ClipLabel, decimate_pcm16,
+                     resample_linear, segment_samples, write_wav_pcm16)
 from ..errors import IntegrityError, ProtocolError, ServerStartupError, TruncationError
 from ..features import FeatureConfig, mfcc_frames
 from ..models import load_model, predict, to_model_input
@@ -69,7 +74,7 @@ IDLE_TIMEOUT_S = 30.0  # the time a whole frame may take, counted from when the 
 MAX_CONNECTIONS = 256  # served at once: a device sends a clip every 5 s, one core classifies hundreds
 # MFCC passes at once (a head pass, or a clip's last pass and its classification):
 # the GIL serialises their Python parts, so more gain no throughput, and each
-# holds up to 8.3 MB of temporaries (a whole 192 kHz clip)
+# holds up to 7.1 MB of temporaries (a whole clip, at any rate)
 MAX_CLASSIFYING = 2
 # MFCC rows of a clip that its head pass computes before the clip's last frame
 # arrives: 128 of 157 at the default FeatureConfig
@@ -106,6 +111,15 @@ def _two_pass_split(cfg: FeatureConfig, sample_rate: int, clip_samples: int) -> 
     if not (half < head_end <= n and skip <= HEAD_ROWS <= n // hop and n - tail_start > half):
         return None
     return _Split(head_end * step, tail_start * step, skip)
+
+
+def _readable(sock: socket.socket, timeout: float) -> bool:
+    """Whether ``sock`` has a byte, a connection, its end or an error waiting,
+    within ``timeout`` s. ``poll``, unlike ``select``, takes a descriptor
+    past 1023."""
+    poller = select.poll()
+    poller.register(sock, select.POLLIN)
+    return bool(poller.poll(timeout * 1000))
 
 
 def _claim_wav_path(directory: Path, stem: str) -> Path:
@@ -238,6 +252,11 @@ class _FrameDeadlineReader:
         piece, self._pending = self._pending[:n], self._pending[n:]
         return piece
 
+    def idle(self) -> bool:
+        """Whether no received byte waits to be read: none left in this
+        reader and none, nor the stream's end, in the socket."""
+        return not self._pending and not _readable(self._sock, 0)
+
 
 class IngestServer:
     """Owns the socket, the classifier and the store."""
@@ -316,7 +335,7 @@ class IngestServer:
     def _accept_waiting(self, timeout: float) -> None:
         """Accept every connection waiting, or arriving within ``timeout`` s: serve each
         on a thread of its own, or close and count it when MAX_CONNECTIONS are open."""
-        while select.select([self._sock], [], [], timeout)[0]:
+        while _readable(self._sock, timeout):
             timeout = 0
             try:
                 conn, _ = self._sock.accept()
@@ -361,7 +380,7 @@ class IngestServer:
                     break
                 for clip_pcm in clips:
                     self.process_clip(session, clip_pcm)
-                if len(session.pending) >= session.head_due:
+                if len(session.pending) >= session.head_due and stream.idle():
                     self.run_head_pass(session)
         finally:
             self.stats.bump("dropped_samples", len(session.pending) // 2)
@@ -374,9 +393,8 @@ class IngestServer:
 
     def featurize_pcm(self, pcm: np.ndarray, sample_rate: int) -> np.ndarray:
         """MFCC rows, [T, n_mfcc], of int16 samples resampled to the canonical rate."""
-        clip = AudioClip.from_pcm16(pcm, sample_rate)
-        if sample_rate != CANONICAL_RATE:
-            clip = resample_linear(clip, CANONICAL_RATE)
+        pcm, sample_rate = decimate_pcm16(pcm, sample_rate, CANONICAL_RATE)
+        clip = resample_linear(AudioClip.from_pcm16(pcm, sample_rate), CANONICAL_RATE)
         return mfcc_frames(clip, self._feature_config).values
 
     def score_rows(self, rows: np.ndarray) -> tuple[str, float]:

@@ -9,6 +9,7 @@ import pytest
 from woodwatch.audio import (
     AudioClip,
     ClipLabel,
+    decimate_pcm16,
     float_to_pcm16,
     load_wav,
     pcm16_to_float,
@@ -162,6 +163,20 @@ def test_an_integer_ratio_resamples_bit_equal_to_interpolation(rate):
         out = resample_linear(clip, 16_000)
         assert out.sample_rate == 16_000
         assert out.samples.tobytes() == expected.tobytes(), n
+
+
+@pytest.mark.parametrize("rate", [16_000, 32_000, 44_100, 48_000, 96_000, 192_000])
+def test_a_decimated_int16_stream_is_the_resampled_clip_bit_for_bit(rate):
+    step, remainder = divmod(rate, 16_000)
+    rng = np.random.default_rng(rate)
+    for n in [0, 1, 2, *range(5 * step, 6 * step)]:  # every length mod step
+        pcm = rng.integers(-32768, 32768, n).astype("<i2")
+        expected = resample_linear(AudioClip.from_pcm16(pcm, rate), 16_000)
+        decimated, decimated_rate = decimate_pcm16(pcm, rate, 16_000)
+        assert (decimated is pcm) == bool(remainder or step == 1)  # left for interpolation, or nothing to do
+        out = resample_linear(AudioClip.from_pcm16(decimated, decimated_rate), 16_000)
+        assert out.sample_rate == expected.sample_rate == 16_000
+        assert out.samples.tobytes() == expected.samples.tobytes(), n
 
 
 def test_pcm16_to_float_is_the_division_for_every_int16():

@@ -13,7 +13,8 @@ import pytest
 
 import woodwatch
 from woodwatch import models
-from woodwatch.audio import CANONICAL_RATE, CANONICAL_SECONDS, AudioClip, load_wav, save_wav
+from woodwatch.audio import (CANONICAL_RATE, CANONICAL_SECONDS, AudioClip, load_wav, resample_linear, save_wav,
+                             segment_clip)
 from woodwatch.cli import build_parser, main
 from woodwatch.container import write_container
 from woodwatch.evaluation import FOLDS, HOLDOUT_RATIO, stratified_split
@@ -201,6 +202,14 @@ def test_extract_cuts_the_window_the_server_serves(tmp_path):
     assert feature_set.ids == ["x.wav#0", "x.wav#1", "x.wav#2", "y.wav"]
     assert IngestServer.clip_seconds == CANONICAL_SECONDS
     assert feature_set.matrices.shape == (4, 157, 40)  # T of a 5 s clip, as the server classifies it
+    # the 48 kHz file decimated as int16 gives the dump of the float clip resampled
+    segments = [segment for name in ("x.wav", "y.wav")
+                for segment in segment_clip(resample_linear(load_wav(dataset / name), CANONICAL_RATE),
+                                            CANONICAL_SECONDS)]
+    save_features(tmp_path / "g.bin", FeatureSet(feature_set.ids, feature_set.labels,
+                                                 np.stack([mfcc_frames(seg).values for seg in segments]),
+                                                 FeatureConfig()))
+    assert (tmp_path / "f.bin").read_bytes() == (tmp_path / "g.bin").read_bytes()
 
 
 @pytest.mark.parametrize("cut", [1, 2])  # inside a sample; on a sample boundary

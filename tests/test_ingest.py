@@ -1,6 +1,8 @@
 import json
 import os
 import platform
+import resource
+import select
 import signal
 import socket
 import struct
@@ -281,17 +283,21 @@ def test_the_archive_holds_the_pcm_as_it_arrived(running_server, tmp_path):
     assert (archive / "device6_clip0000.wav").read_bytes() == (tmp_path / "round_trip.wav").read_bytes()
 
 
-def test_a_192_khz_classify_pass_holds_under_10_mb(running_server):
+def test_a_192_khz_classify_pass_peaks_as_a_16_khz_pass(running_server):
     server, _, _ = running_server
-    pcm = (np.random.default_rng(7).standard_normal(5 * 192_000) * 3000).astype("<i2")
-    server.classify_pcm(pcm, 192_000)  # fills the feature caches
-    tracemalloc.start()
-    try:
-        server.classify_pcm(pcm, 192_000)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 10e6  # the clip as float64 and the every-12th-sample copy; a clamped copy made 15.4 MB
+    peaks = {}
+    for rate in (16_000, 192_000):
+        pcm = (np.random.default_rng(7).standard_normal(5 * rate) * 3000).astype("<i2")
+        server.classify_pcm(pcm, rate)  # fills the feature caches
+        tracemalloc.start()
+        try:
+            server.classify_pcm(pcm, rate)
+            _, peaks[rate] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    # decimated as int16, a 192 kHz clip becomes float64 only at 16 kHz: both peak
+    # at 7.08 MB, where converting it at 192 kHz first peaked at 8.32 MB
+    assert peaks[192_000] <= peaks[16_000] + 64 * 1024, peaks
 
 
 def test_three_concurrent_devices(running_server, tmp_path):
@@ -733,6 +739,40 @@ def test_an_accept_failure_is_counted_and_the_server_goes_on(served_checkpoint, 
     assert server._sock.aborted and server.stats.snapshot()["connection_errors"] == 1
 
 
+def test_a_listening_descriptor_past_1023_accepts_and_stops(served_checkpoint, tmp_path):
+    soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+    needed = 1024 + 64  # descriptors 0-1023 taken, and room for the server's own
+    if hard != resource.RLIM_INFINITY and hard < needed:
+        pytest.skip(f"the hard RLIMIT_NOFILE, {hard}, is below {needed}")
+    raise_soft = soft != resource.RLIM_INFINITY and soft < needed
+    if raise_soft:
+        resource.setrlimit(resource.RLIMIT_NOFILE, (needed, hard))
+    fillers = []
+    try:
+        while not fillers or fillers[-1] < 1023:  # the lowest free descriptor is taken first
+            fillers.append(os.open(os.devnull, os.O_RDONLY))
+        store = tmp_path / "store.jsonl"
+        server = IngestServer(0, served_checkpoint, store)
+        assert server._sock.fileno() > 1023
+        server.start()
+        try:
+            pcm = float_to_pcm16(gen_clean_clip(SynthConfig(snr_db=12.0), seed=521).samples)
+            with socket.create_connection(("127.0.0.1", server.port), timeout=20.0) as conn:
+                conn.sendall(b"".join(frames_of(47, pcm)))
+            assert wait_for(lambda: server.stats.snapshot()["records_written"] == 1)
+        finally:
+            stopper = threading.Thread(target=server.stop)
+            stopper.start()
+            stopper.join(timeout=20.0)
+        assert not stopper.is_alive()
+        assert [r.device_id for r in load_store(store)[0]] == [47]
+    finally:
+        for fd in fillers:
+            os.close(fd)
+        if raise_soft:
+            resource.setrlimit(resource.RLIMIT_NOFILE, (soft, hard))
+
+
 def test_a_close_counts_the_frame_it_cuts_and_the_samples_it_drops(running_server):
     server, _, _ = running_server
     pcm = np.arange(4 * 2500, dtype="<i2")
@@ -1013,21 +1053,54 @@ def served_passes(running_server, monkeypatch):
     return spans, scored
 
 
+@pytest.fixture()
+def head_passes(running_server, monkeypatch):
+    """A semaphore the running server releases each time a head pass returns."""
+    server = running_server[0]
+    done, run = threading.Semaphore(0), server.run_head_pass
+
+    def run_released(session):
+        try:
+            run(session)
+        finally:
+            done.release()
+
+    monkeypatch.setattr(server, "run_head_pass", run_released)
+    return done
+
+
+def send_pausing_for_head_passes(conn, frames, pauses, head_passes):
+    """Send the frames; after the first n, for each n in pauses, wait until the
+    server's next head pass has returned. A head pass runs only while the
+    connection has nothing waiting, which a client that sends on at full
+    speed does not leave it."""
+    sent = 0
+    for n in pauses:
+        conn.sendall(b"".join(frames[sent:n]))
+        assert head_passes.acquire(timeout=20.0)
+        sent = n
+    conn.sendall(b"".join(frames[sent:]))
+
+
 HEAD_SPAN = (server_module.HEAD_ROWS - 1) * 512 + 1024  # at 16 kHz and the default FeatureConfig
 TAIL_SPAN = 80_000 - (server_module.HEAD_ROWS - 2) * 512
+HEAD_FRAMES = -(-HEAD_SPAN // 2500)  # the 2,500-sample frames that bring a 16 kHz head span
 
 
 @pytest.mark.parametrize("rate, spans", [
     (16_000, [HEAD_SPAN, TAIL_SPAN]),
     (48_000, [3 * HEAD_SPAN, 3 * TAIL_SPAN]),
     (44_100, [5 * 44_100]),  # not a multiple of 16 kHz: one pass at the clip's end
+    (96_000, [6 * HEAD_SPAN, 6 * TAIL_SPAN]),
+    (192_000, [12 * HEAD_SPAN, 12 * TAIL_SPAN]),
 ])
-def test_a_served_clip_is_scored_on_the_whole_clip_rows(running_server, served_passes, served_checkpoint,
-                                                        rate, spans):
+def test_a_served_clip_is_scored_on_the_whole_clip_rows(running_server, served_passes, head_passes,
+                                                        served_checkpoint, rate, spans):
     server, store, _ = running_server
     pcm = (np.random.default_rng(rate).standard_normal(5 * rate) * 3000).astype("<i2")
+    pauses = [-(-spans[0] // 2500)] if len(spans) == 2 else []
     with socket.create_connection(("127.0.0.1", server.port)) as conn:
-        conn.sendall(b"".join(frames_of(41, pcm, rate)))
+        send_pausing_for_head_passes(conn, frames_of(41, pcm, rate), pauses, head_passes)
     assert wait_for(lambda: server.stats.snapshot()["records_written"] == 1)
     assert served_passes[0] == spans
     [rows] = served_passes[1]
@@ -1037,11 +1110,54 @@ def test_a_served_clip_is_scored_on_the_whole_clip_rows(running_server, served_p
     assert load_store(store)[0][0].p_infested == float(probs[0, 1])
 
 
-def test_a_gap_filled_inside_the_head_span_is_in_the_head_rows(running_server, served_passes):
+def test_a_clip_whose_rest_waits_behind_its_head_span_takes_one_pass(running_server, served_passes,
+                                                                    served_checkpoint, monkeypatch):
+    server, store, _ = running_server
+    read_frame, reads = server_module.protocol.read_frame, []
+
+    def read_once_the_stream_is_in(stream):
+        reads.append(len(reads))
+        if len(reads) == HEAD_FRAMES:  # the read of the frame that completes the head span
+            poller = select.poll()
+            poller.register(stream._sock, select.POLLRDHUP)
+            poller.poll(20_000)  # the client's close is in, so every frame it sent is too
+        return read_frame(stream)
+
+    monkeypatch.setattr(server_module.protocol, "read_frame", read_once_the_stream_is_in)
+    pcm = (np.random.default_rng(522).standard_normal(80_000) * 3000).astype("<i2")
+    with socket.create_connection(("127.0.0.1", server.port)) as conn:
+        conn.sendall(b"".join(frames_of(46, pcm)))
+    assert wait_for(lambda: server.stats.snapshot()["records_written"] == 1)
+    assert served_passes[0] == [80_000]
+    [rows] = served_passes[1]
+    assert np.array_equal(rows, offline_rows(pcm, 16_000))
+    graph, _, config, stats, _ = load_model(served_checkpoint)
+    probs, _ = predict(graph, apply_standardize(offline_rows(pcm, 16_000, config), stats)[None])
+    assert load_store(store)[0][0].p_infested == float(probs[0, 1])
+
+
+def test_a_reader_is_idle_only_when_no_received_byte_waits():
+    ours, theirs = socket.socketpair()
+    with ours, theirs:
+        stream = server_module._FrameDeadlineReader(ours)
+        stream.deadline = time.monotonic() + 20.0
+        assert stream.idle()
+        theirs.sendall(b"0123456789")
+        assert not stream.idle()  # in the socket
+        assert bytes(stream.read(4)) == b"0123"
+        assert not stream.idle()  # in the reader, which received all ten: the socket is empty
+        assert bytes(stream.read(6)) == b"456789"
+        assert stream.idle()
+        theirs.shutdown(socket.SHUT_WR)
+        assert not stream.idle()  # the stream's end waits to be read
+
+
+def test_a_gap_filled_inside_the_head_span_is_in_the_head_rows(running_server, served_passes, head_passes):
     server, _, _ = running_server
     pcm = (np.random.default_rng(518).standard_normal(80_000) * 3000).astype("<i2")
+    frames = [frame for seq, frame in enumerate(frames_of(42, pcm)) if seq != 3]
     with socket.create_connection(("127.0.0.1", server.port)) as conn:
-        conn.sendall(b"".join(frame for seq, frame in enumerate(frames_of(42, pcm)) if seq != 3))
+        send_pausing_for_head_passes(conn, frames, [HEAD_FRAMES - 1], head_passes)
     assert wait_for(lambda: server.stats.snapshot()["records_written"] == 1)
     assert server.stats.snapshot()["sequence_gaps"] == 1
     zero_filled = pcm.copy()
@@ -1050,11 +1166,11 @@ def test_a_gap_filled_inside_the_head_span_is_in_the_head_rows(running_server, s
     assert np.array_equal(served_passes[1][0], offline_rows(zero_filled, 16_000))
 
 
-def test_one_frame_completes_a_clip_and_starts_the_next(running_server, served_passes):
+def test_one_frame_completes_a_clip_and_starts_the_next(running_server, served_passes, head_passes):
     server, store, _ = running_server
     pcm = (np.random.default_rng(519).standard_normal(300_000) * 3000).astype("<i2")
     with socket.create_connection(("127.0.0.1", server.port)) as conn:
-        conn.sendall(b"".join(frames_of(43, pcm, frame_samples=75_000)))
+        send_pausing_for_head_passes(conn, frames_of(43, pcm, frame_samples=75_000), [1, 2], head_passes)
     assert wait_for(lambda: server.stats.snapshot()["dropped_samples"] == 60_000)
     assert server.stats.snapshot()["records_written"] == 3
     # frame 1 ends clip 0 and brings clip 1's head span; clip 2's head span was
@@ -1065,11 +1181,12 @@ def test_one_frame_completes_a_clip_and_starts_the_next(running_server, served_p
     assert [r.clip_start for r in load_store(store)[0]] == [0, 80_000, 160_000]
 
 
-def test_a_connection_that_ends_after_its_head_pass_writes_no_record(running_server, served_passes):
+def test_a_connection_that_ends_after_its_head_pass_writes_no_record(running_server, served_passes,
+                                                                     head_passes):
     server, store, _ = running_server
     pcm = np.arange(27 * 2500, dtype="<i2")  # past the head span, short of a clip
     with socket.create_connection(("127.0.0.1", server.port)) as conn:
-        conn.sendall(b"".join(frames_of(44, pcm)))
+        send_pausing_for_head_passes(conn, frames_of(44, pcm), [27], head_passes)
     expected = dict.fromkeys(server.stats.snapshot(), 0)
     expected.update(frames_ok=27, dropped_samples=27 * 2500)
     assert wait_for(lambda: server.stats.snapshot() == expected), server.stats.snapshot()
@@ -1077,7 +1194,7 @@ def test_a_connection_that_ends_after_its_head_pass_writes_no_record(running_ser
     assert load_store(store)[0] == []
 
 
-def test_a_failed_head_pass_leaves_its_clip_one_pass_at_the_end(running_server, monkeypatch):
+def test_a_failed_head_pass_leaves_its_clip_one_pass_at_the_end(running_server, head_passes, monkeypatch):
     server, store, _ = running_server
     featurize, spans = server.featurize_pcm, []
 
@@ -1090,7 +1207,7 @@ def test_a_failed_head_pass_leaves_its_clip_one_pass_at_the_end(running_server, 
     monkeypatch.setattr(server, "featurize_pcm", fail_first)
     pcm = (np.random.default_rng(520).standard_normal(80_000) * 3000).astype("<i2")
     with socket.create_connection(("127.0.0.1", server.port)) as conn:
-        conn.sendall(b"".join(frames_of(45, pcm)))
+        send_pausing_for_head_passes(conn, frames_of(45, pcm), [HEAD_FRAMES], head_passes)
     assert wait_for(lambda: server.stats.snapshot()["records_written"] == 1)
     assert spans == [HEAD_SPAN, 80_000] and server.stats.snapshot()["classify_errors"] == 0
     assert [r.device_id for r in load_store(store)[0]] == [45]
