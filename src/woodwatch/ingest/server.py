@@ -23,9 +23,13 @@ span, and a clip that finds none before its last frame takes one pass over
 the whole clip at its end, as every other rate does. Each row depends only on
 its own window, so the rows are bit-equal either way. Each pass takes its
 span to the canonical rate: every k-th int16 sample at k times that rate,
-interpolation at any other. The full clip's rows are then classified
-with the loaded checkpoint, and the record is appended to the JSON-lines
-store, all by the connection's own thread, the append under one lock. An
+interpolation at any other. When the checkpoint's graph holds an LSTM that
+only nearby rows feed, the head pass also runs the model over its rows up to
+the LSTM steps they settle, and the clip's end resumes the LSTM from there
+(``ModelGraph.head_steps``), with the bits of one forward. The full clip's
+rows are classified with the loaded checkpoint, and the record is appended
+to the JSON-lines store, all by the connection's own thread, the append
+under one lock. An
 archived clip is the PCM as it arrived and never replaces an earlier one of
 the same name.
 Malformed frames, a frame cut by a close, store failures and broken
@@ -60,6 +64,7 @@ from ..audio import (CANONICAL_RATE, CANONICAL_SECONDS, AudioClip, ClipLabel, de
 from ..errors import IntegrityError, ProtocolError, ServerStartupError, TruncationError
 from ..features import FeatureConfig, mfcc_frames
 from ..models import load_model, predict, to_model_input
+from ..nn import HeadState
 from . import protocol
 from .store import DetectionRecord, append_records
 
@@ -151,18 +156,20 @@ class _DeviceSession:
         # len(pending) at which the head pass of the clip being filled is due;
         # clip_bytes once it ran or when there is none, since accept cuts a full clip
         self.head_due: float = math.inf
-        self.head_rows: np.ndarray | None = None  # its rows [0, HEAD_ROWS), once it ran
+        self.head_rows: np.ndarray | None = None  # its rows [0, HEAD_ROWS), once it ran ...
+        self.head_state: HeadState | None = None  # ... and the model's state over them, if its graph has one
 
     def take_head_span(self) -> np.ndarray:
         """The head span of the clip being filled, whose head pass is then no longer due."""
         self.head_due = self.clip_bytes
         return np.frombuffer(self.pending[: 2 * self.split.head_end], dtype="<i2")
 
-    def take_head_rows(self) -> np.ndarray | None:
-        """The head rows of the clip just cut, if its head pass ran; the next clip's head pass is then due."""
-        rows, self.head_rows = self.head_rows, None
+    def take_head(self) -> tuple[np.ndarray | None, HeadState | None]:
+        """The head rows and model state of the clip just cut, if its head pass ran;
+        the next clip's head pass is then due."""
+        head, self.head_rows, self.head_state = (self.head_rows, self.head_state), None, None
         self.head_due = 2 * self.split.head_end if self.split else self.clip_bytes
-        return rows
+        return head
 
     def accept(self, frame: protocol.DeviceFrame, stats: "_Stats") -> list[np.ndarray]:
         """Fold one validated frame in; returns any completed clips.
@@ -179,7 +186,7 @@ class _DeviceSession:
             self.clip_bytes = 2 * segment_samples(CANONICAL_SECONDS, frame.sample_rate)
             self.next_seq = frame.seq  # a device may resume its numbering on a new connection
             self.split = _two_pass_split(self.feature_config, frame.sample_rate, self.clip_bytes // 2)
-            self.take_head_rows()  # arms the first clip's head pass
+            self.take_head()  # arms the first clip's head pass
         if frame.device_id != self.device_id or frame.sample_rate != self.sample_rate:
             stats.bump("protocol_errors")
             return []
@@ -213,6 +220,7 @@ class _Stats:
             "duplicate_frames": 0,
             "sequence_gaps": 0,
             "records_written": 0,
+            "head_scored_clips": 0,  # scored from the model state of a head pass
             "classify_errors": 0,
             "store_errors": 0,
             "dropped_samples": 0,
@@ -272,6 +280,8 @@ class IngestServer:
         keep_malloc_heap()
         (self._graph, self._kind, self._feature_config, self._stats_norm,
          self._checkpoint_id) = load_model(checkpoint_path)
+        # MFCC rows of a whole clip at any rate that takes a head pass: 157 at the defaults
+        self._clip_rows = 1 + segment_samples(CANONICAL_SECONDS, CANONICAL_RATE) // self._feature_config.hop
 
         try:
             with open(self.store_path, "a", encoding="utf-8"):
@@ -397,34 +407,45 @@ class IngestServer:
         clip = resample_linear(AudioClip.from_pcm16(pcm, sample_rate), CANONICAL_RATE)
         return mfcc_frames(clip, self._feature_config).values
 
-    def score_rows(self, rows: np.ndarray) -> tuple[str, float]:
-        """Label and P(infested) for one clip's MFCC rows."""
+    def score_rows(self, rows: np.ndarray, head: HeadState | None = None) -> tuple[str, float]:
+        """Label and P(infested) for one clip's MFCC rows, its model resumed from ``head`` if given."""
         x = to_model_input(self._kind, rows[None], self._stats_norm)
-        probs, labels = predict(self._graph, x)
+        probs, labels = predict(self._graph, x, head)
         return ClipLabel(labels[0]).text, float(probs[0, 1])
+
+    def score_head(self, head_rows: np.ndarray) -> HeadState | None:
+        """The model's state over a clip's head rows, or None when its graph scores a clip in one pass."""
+        steps = self._graph.head_steps(len(head_rows), self._clip_rows)
+        if steps is None:
+            return None
+        return self._graph.run_head(to_model_input(self._kind, head_rows[None], self._stats_norm), steps)
 
     def classify_pcm(self, pcm: np.ndarray, sample_rate: int) -> tuple[str, float]:
         """Label and P(infested) for one clip of int16 samples, from one pass over the whole clip."""
         return self.score_rows(self.featurize_pcm(pcm, sample_rate))
 
     def run_head_pass(self, session: _DeviceSession) -> None:
-        """Compute the head rows of the clip the session is filling, whose head span has arrived.
+        """Compute the head rows of the clip the session is filling, whose head span has arrived,
+        and the model's state over them.
 
-        A failure is logged and leaves no rows, so the clip takes one pass at its end.
+        A failure is logged and leaves neither, so the clip takes one pass at its end.
         """
-        head = session.take_head_span()
+        span = session.take_head_span()
         try:
             with self._classifying:
-                session.head_rows = self.featurize_pcm(head, session.sample_rate)[:HEAD_ROWS]
+                rows = self.featurize_pcm(span, session.sample_rate)[:HEAD_ROWS]
+                state = self.score_head(rows)
         except Exception:
             log.exception("head pass failed for device %s; its clip takes one pass at its end",
                           session.device_id)
+            return
+        session.head_rows, session.head_state = rows, state
 
     def process_clip(self, session: _DeviceSession, clip_pcm: np.ndarray) -> None:
         start = session.stream_position
         session.stream_position += len(clip_pcm)
         index = start // len(clip_pcm)
-        head_rows = session.take_head_rows()
+        head_rows, head_state = session.take_head()
         try:  # a non-finite P(infested) fails in DetectionRecord: counted here too
             with self._classifying:
                 if head_rows is None:
@@ -432,7 +453,9 @@ class IngestServer:
                 else:
                     tail = self.featurize_pcm(clip_pcm[session.split.tail_start :], session.sample_rate)
                     rows = np.concatenate([head_rows, tail[session.split.tail_skip :]])
-                label, p_infested = self.score_rows(rows)
+                label, p_infested = self.score_rows(rows, head_state)
+            if head_state is not None:
+                self.stats.bump("head_scored_clips")
             record = DetectionRecord(
                 timestamp=datetime.now(timezone.utc).isoformat(),
                 device_id=session.device_id,

@@ -23,6 +23,7 @@ from .nn import (
     Dense,
     Dropout,
     GlobalAvgPool1D,
+    HeadState,
     LSTM,
     MaxPool1D,
     ModelGraph,
@@ -195,9 +196,10 @@ def train(graph: ModelGraph, x_train: np.ndarray, y_train: np.ndarray,
     return history
 
 
-def predict(graph: ModelGraph, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Inference-mode class probabilities and argmax labels (ties -> clean)."""
-    probs = softmax(graph.forward(x, train=False))
+def predict(graph: ModelGraph, x: np.ndarray, head: HeadState | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Inference-mode class probabilities and argmax labels (ties -> clean).
+    With ``head``, the graph's LSTM resumes from that state (``ModelGraph.resume``)."""
+    probs = softmax(graph.forward(x, train=False) if head is None else graph.resume(x, head))
     return probs, probs.argmax(axis=1)
 
 

@@ -3,6 +3,7 @@ from .layers import (
     Dense,
     Dropout,
     GlobalAvgPool1D,
+    HeadState,
     Layer,
     LSTM,
     MaxPool1D,
@@ -23,6 +24,7 @@ __all__ = [
     "Dense",
     "Dropout",
     "GlobalAvgPool1D",
+    "HeadState",
     "LSTM",
     "Layer",
     "MaxPool1D",

@@ -29,6 +29,8 @@ generator every matrix starts at zero.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 
@@ -281,7 +283,18 @@ class LSTM(Layer):
         hd = self.hidden
         return a[..., :hd], a[..., hd : 2 * hd], a[..., 2 * hd : 3 * hd], a[..., 3 * hd :]
 
-    def forward(self, x, train=False, rng=None):
+    def forward(self, x, train=False, rng=None, state=None):
+        """The last hidden state; an inference-mode forward starts from ``state``, see :meth:`run`."""
+        return self.run(x, train, state)[0]
+
+    def run(self, x, train=False, state=None):
+        """The hidden and cell state (h, c) after the last step of ``x``.
+
+        An inference-mode run starts from ``state``, an (h, c) pair it does
+        not modify, or from zeros when that is None, so a sequence can be run
+        in pieces (see :meth:`ModelGraph.head_steps` for when the pieces give
+        the bits of one run). A train-mode run starts from zeros.
+        """
         if x.ndim != 3 or x.shape[2] != self.in_dim:
             raise ValueError(f"lstm expects [batch, T, {self.in_dim}], got {x.shape}")
         batch, t, _ = x.shape
@@ -296,8 +309,8 @@ class LSTM(Layer):
             hs = np.zeros((t + 1, batch, hd))
         else:
             block = np.empty((min(t, self._BLOCK), batch, h4))
-            c = np.zeros((batch, hd))  # updated in place, step after step
-            h = np.zeros((batch, hd))
+            # updated in place, step after step
+            h, c = (np.zeros((batch, hd)), np.zeros((batch, hd))) if state is None else (s.copy() for s in state)
         ig = np.empty((batch, hd))
         for t0 in range(0, t, self._BLOCK):
             t1 = min(t0 + self._BLOCK, t)
@@ -323,8 +336,8 @@ class LSTM(Layer):
                 h *= o
         if train:
             self._cache = (xs, gates, cs, hs)
-            return hs[t].copy()
-        return h
+            return hs[t].copy(), cs[t].copy()
+        return h, c
 
     def _derivative_factors(self, a, cs):
         """Turn one block of activated gates ``a`` = (i, f, g, o) into the
@@ -394,6 +407,14 @@ def layer_from_spec(d: dict) -> Layer:
     return cls(**{attr: d[key] for key, attr in cls._SPEC.items()})
 
 
+class HeadState(NamedTuple):
+    """A graph's LSTM state after the first ``steps`` steps of one input."""
+
+    steps: int
+    h: np.ndarray
+    c: np.ndarray
+
+
 class ModelGraph:
     """A fixed chain of layers mapping inputs to logits."""
 
@@ -403,6 +424,54 @@ class ModelGraph:
     def forward(self, x, train: bool = False, rng: np.random.Generator | None = None) -> np.ndarray:
         for layer in self.layers:
             x = layer.forward(x, train=train, rng=rng)
+        return x
+
+    def head_steps(self, head_rows: int, rows: int) -> int | None:
+        """How many LSTM steps the first ``head_rows`` of an input's ``rows``
+        rows settle, so that :meth:`run_head` over those rows and
+        :meth:`resume` from its state give the logits of :meth:`forward`, bit
+        for bit; or None, when the graph has no LSTM or a layer before it
+        reads every row.
+
+        A 'same' Conv1D row reads half a kernel past itself, so the last
+        half-kernel of settled rows no longer is; a MaxPool1D window is
+        settled when all its rows are. The LSTM projects its input
+        ``LSTM._BLOCK`` steps at a time from its first step, and a one-row
+        product takes a BLAS path whose bits may differ from the same row in
+        a larger one; so a split that leaves a one-step block, in either
+        piece or in the one forward, gives None too.
+        """
+        settled = head_rows
+        for layer in self.layers:
+            if isinstance(layer, LSTM):
+                pieces = (settled, rows - settled, rows)
+                return settled if 0 < settled < rows and all(n % LSTM._BLOCK != 1 for n in pieces) else None
+            if isinstance(layer, Conv1D):
+                settled -= layer.kernel // 2
+            elif isinstance(layer, MaxPool1D):
+                settled, rows = settled // layer.width, rows // layer.width
+            elif not isinstance(layer, (ReLU, Dropout)):
+                return None
+        return None
+
+    def run_head(self, x: np.ndarray, steps: int) -> HeadState:
+        """The LSTM's state after its first ``steps`` steps over inference-mode
+        input ``x``, the head rows of an input for which :meth:`head_steps`
+        gave ``steps``."""
+        for layer in self.layers:
+            if isinstance(layer, LSTM):
+                return HeadState(steps, *layer.run(x[:, :steps]))
+            x = layer.forward(x)
+        raise ValueError("the graph has no LSTM")
+
+    def resume(self, x: np.ndarray, head: HeadState) -> np.ndarray:
+        """Inference-mode logits of ``x`` whose LSTM starts at step ``head.steps``
+        from ``head``'s state; every other layer reads all of ``x``."""
+        for layer in self.layers:
+            if isinstance(layer, LSTM):
+                x = layer.forward(x[:, head.steps :], state=(head.h, head.c))
+            else:
+                x = layer.forward(x)
         return x
 
     def backward(self, dlogits: np.ndarray) -> None:

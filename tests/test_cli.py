@@ -401,7 +401,7 @@ def test_serve_prints_the_port_it_listens_on(capsys, monkeypatch, tmp_path):
     assert listening["listening"] == DEFAULT_HOST and listening["port"] > 0
     # once run() returns, every counter, as stats.snapshot() holds it
     counters = ["frames_ok", "integrity_errors", "protocol_errors", "truncated_frames", "duplicate_frames",
-                "sequence_gaps", "records_written", "classify_errors", "store_errors", "dropped_samples",
+                "sequence_gaps", "records_written", "head_scored_clips", "classify_errors", "store_errors", "dropped_samples",
                 "connection_errors", "rejected_connections"]
     assert stopped == {"stopped": dict.fromkeys(counters, 0)}
 

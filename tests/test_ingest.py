@@ -600,9 +600,9 @@ def test_unbuildable_record_is_a_classify_error(running_server, monkeypatch, cap
     real_score = server.score_rows
     calls = []
 
-    def nan_first(rows):
+    def nan_first(rows, head=None):
         calls.append(len(rows))
-        return ("infested", float("nan")) if len(calls) == 1 else real_score(rows)
+        return ("infested", float("nan")) if len(calls) == 1 else real_score(rows, head)
 
     monkeypatch.setattr(server, "score_rows", nan_first)
     clip = gen_clean_clip(SynthConfig(duration_s=10.0, snr_db=12.0), seed=510)  # two windows
@@ -834,6 +834,10 @@ def test_a_hostile_mix_is_served_counted_and_stopped(served_checkpoint, tmp_path
     frames = frames_of(60, source())[:11]
     scripts[60] = b"".join(frames)[: -len(frames[10]) // 2]  # closes inside its 11th frame
     drip_frame = frames_of(54, source())[0]
+    # a device's head pass runs only if its connection ever waits: count them, for the clips they score
+    head_pass_devices, run_head_pass = [], IngestServer.run_head_pass
+    monkeypatch.setattr(IngestServer, "run_head_pass",
+                        lambda self, session: head_pass_devices.append(session.device_id) or run_head_pass(self, session))
 
     store = tmp_path / "store.jsonl"
     server = IngestServer(0, served_checkpoint, store)
@@ -890,7 +894,8 @@ def test_a_hostile_mix_is_served_counted_and_stopped(served_checkpoint, tmp_path
     expected.update(frames_ok=frames_ok, integrity_errors=1, protocol_errors=1, truncated_frames=1,
                     duplicate_frames=1, sequence_gaps=2, records_written=len(clips),
                     dropped_samples=10 * 2500 + 10 * 2500 + 4 * 2500,  # devices 59, 60 and 61
-                    connection_errors=1, rejected_connections=over_cap)
+                    connection_errors=1, rejected_connections=over_cap,
+                    head_scored_clips=len(head_pass_devices))  # each device with one sends one whole clip
     assert server.stats.snapshot() == expected
     records, corrupt = load_store(store)
     assert corrupt == 0 and sorted(r.device_id for r in records) == sorted(clips)
@@ -1044,9 +1049,9 @@ def served_passes(running_server, monkeypatch):
         spans.append(len(pcm))
         return featurize(pcm, sample_rate)
 
-    def score_logged(rows):
+    def score_logged(rows, head=None):
         scored.append(rows)
-        return score(rows)
+        return score(rows, head)
 
     monkeypatch.setattr(server, "featurize_pcm", featurize_logged)
     monkeypatch.setattr(server, "score_rows", score_logged)
@@ -1108,6 +1113,7 @@ def test_a_served_clip_is_scored_on_the_whole_clip_rows(running_server, served_p
     graph, _, config, stats, _ = load_model(served_checkpoint)
     probs, _ = predict(graph, apply_standardize(offline_rows(pcm, rate, config), stats)[None])
     assert load_store(store)[0][0].p_infested == float(probs[0, 1])
+    assert server.stats.snapshot()["head_scored_clips"] == (len(spans) == 2)  # its LSTM resumed
 
 
 def test_a_clip_whose_rest_waits_behind_its_head_span_takes_one_pass(running_server, served_passes,
@@ -1211,3 +1217,28 @@ def test_a_failed_head_pass_leaves_its_clip_one_pass_at_the_end(running_server, 
     assert wait_for(lambda: server.stats.snapshot()["records_written"] == 1)
     assert spans == [HEAD_SPAN, 80_000] and server.stats.snapshot()["classify_errors"] == 0
     assert [r.device_id for r in load_store(store)[0]] == [45]
+
+
+def test_a_head_pass_whose_model_part_fails_leaves_its_clip_one_pass_at_the_end(
+        running_server, served_passes, head_passes, served_checkpoint, monkeypatch):
+    server, store, _ = running_server
+    score_head, calls = server.score_head, []
+
+    def fail_first(head_rows):
+        calls.append(len(head_rows))
+        if len(calls) == 1:
+            raise MemoryError("no room for the model's head state")
+        return score_head(head_rows)
+
+    monkeypatch.setattr(server, "score_head", fail_first)
+    pcm = (np.random.default_rng(523).standard_normal(80_000) * 3000).astype("<i2")
+    with socket.create_connection(("127.0.0.1", server.port)) as conn:
+        send_pausing_for_head_passes(conn, frames_of(47, pcm), [HEAD_FRAMES], head_passes)
+    assert wait_for(lambda: server.stats.snapshot()["records_written"] == 1)
+    assert calls == [server_module.HEAD_ROWS]
+    assert served_passes[0] == [HEAD_SPAN, 80_000]  # the head rows went with the state
+    stats_now = server.stats.snapshot()
+    assert stats_now["classify_errors"] == 0 and stats_now["head_scored_clips"] == 0
+    graph, _, config, stats, _ = load_model(served_checkpoint)
+    probs, _ = predict(graph, apply_standardize(offline_rows(pcm, 16_000, config), stats)[None])
+    assert load_store(store)[0][0].p_infested == float(probs[0, 1])

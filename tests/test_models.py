@@ -272,3 +272,46 @@ def test_split_inputs_are_the_model_inputs_rows_bit_for_bit(tiny_features, kind)
         assert stats is None
     else:
         assert stats.to_dict() == full_stats.to_dict()
+
+
+# -- a model run in two pieces: the head rows of a streamed clip, then the rest ------------
+
+def _random_graph(kind):
+    """A graph whose every parameter, biases too, is drawn at random."""
+    graph = build_model(kind, seed=11)
+    rng = np.random.default_rng(11)
+    for param in graph.params():
+        param[...] = rng.uniform(-0.5, 0.5, size=param.shape)
+    return graph
+
+
+@pytest.mark.parametrize("kind, head_rows, rows, steps", [
+    (ModelKind.LSTM, 128, 157, 128),
+    (ModelKind.CNN_LSTM, 128, 157, 31),  # each 'same' conv loses its half-kernel, each pool halves
+    (ModelKind.LSTM, 34, 157, 34),
+    (ModelKind.CNN_LSTM, 100, 157, 24),
+])
+def test_a_model_resumed_from_its_head_rows_scores_as_one_pass_bit_for_bit(kind, head_rows, rows, steps):
+    graph = _random_graph(kind)
+    x = np.random.default_rng(rows).standard_normal((1, rows, 40))
+    assert graph.head_steps(head_rows, rows) == steps
+    head = graph.run_head(x[:, :head_rows], steps)
+    assert head.steps == steps and head.h.shape == head.c.shape == (1, 64)
+    one_pass, labels = predict(graph, x)
+    for _ in range(2):  # resuming leaves the head state as it was
+        resumed, resumed_labels = predict(graph, x, head)
+        assert resumed.tobytes() == one_pass.tobytes() and np.array_equal(resumed_labels, labels)
+
+
+@pytest.mark.parametrize("kind, head_rows, rows", [
+    (ModelKind.CNN, 128, 157),  # its global pool reads every row
+    (ModelKind.DNN_MEAN, 128, 157),
+    (ModelKind.LSTM, 33, 157),  # the head piece would end in a one-step projection block
+    (ModelKind.LSTM, 120, 153),  # the resumed piece would
+    (ModelKind.LSTM, 48, 129),  # the one forward does
+    (ModelKind.CNN_LSTM, 136, 157),  # 33 settled steps of 39
+    (ModelKind.CNN_LSTM, 5, 157),  # no step settled
+    (ModelKind.LSTM, 157, 157),  # no step left to resume
+])
+def test_a_graph_gives_no_head_steps_where_two_pieces_may_not_give_one_forwards_bits(kind, head_rows, rows):
+    assert build_model(kind).head_steps(head_rows, rows) is None

@@ -160,6 +160,24 @@ def test_global_avg_pool():
 
 # -- lstm ---------------------------------------------------------------------
 
+# The row-block GEMMs of the served graphs (batch 1, T = 157, published dims):
+# the first Conv1D, the second after a pool, the cnn_lstm LSTM's input
+# projection, and the lstm's, which takes its input 32 steps at a time.
+_SERVED_GEMMS = [(157, 40, 32), (78, 32, 64), (39, 64, 256), *((m, 40, 256) for m in range(2, 33))]
+
+
+@pytest.mark.parametrize("m, k, n", _SERVED_GEMMS)
+def test_a_product_over_rows_lo_to_hi_is_those_rows_of_the_whole_product(m, k, n):
+    # ModelGraph.head_steps relies on this BLAS property to run a model in
+    # two pieces; a one-row piece takes the gemv path and may differ
+    rng = np.random.default_rng([m, k, n])
+    x, w = rng.standard_normal((m, k)), rng.standard_normal((k, n))
+    whole = x @ w
+    for lo in range(m - 1):
+        for hi in range(lo + 2, m + 1):
+            assert np.array_equal(x[lo:hi] @ w, whole[lo:hi]), (lo, hi)
+
+
 def test_lstm_zero_weights_zero_state():
     layer = LSTM(2, 3)
     layer.b[...] = 0.0
@@ -195,6 +213,10 @@ def test_lstm_matches_per_step_oracle(batch, steps):
     ref_h, ref_dx, ref_dw, ref_du, ref_db = oracles.lstm_reference(x, layer.w, layer.u, layer.b, dh)
     assert np.abs(h - ref_h).max() < 1e-12
     assert np.abs(layer.forward(x) - ref_h).max() < 1e-12  # inference path
+    head = layer.run(x[:, : steps // 2])
+    kept = [s.copy() for s in head]
+    assert np.abs(layer.forward(x[:, steps // 2 :], state=head) - ref_h).max() < 1e-12  # resumed
+    assert all(np.array_equal(s, k) for s, k in zip(head, kept))  # the state it started from is unchanged
     assert dx.shape == x.shape and np.abs(dx - ref_dx).max() < 1e-12
     assert np.abs(layer.dw - ref_dw).max() < 1e-12
     assert np.abs(layer.du - ref_du).max() < 1e-12
