@@ -68,19 +68,14 @@ class AudioClip:
         object.__setattr__(self, "sample_rate", int(self.sample_rate))
 
     @classmethod
-    def _in_range(cls, samples: np.ndarray, sample_rate: int) -> "AudioClip":
-        """Wrap a float64 array that already lies in [-1, 1] and that no one
-        else holds: no clamp and no copy."""
-        clip = object.__new__(cls)
-        object.__setattr__(clip, "sample_rate", sample_rate)
-        clip._adopt(samples)
-        return clip
-
-    @classmethod
     def from_pcm16(cls, pcm: np.ndarray, sample_rate: int) -> "AudioClip":
         """int16 samples as a clip: ``AudioClip(pcm16_to_float(pcm), rate)``
-        bit for bit, in one array, since int16 * 2**-15 lies in [-1, 1)."""
-        return cls._in_range(pcm16_to_float(pcm), sample_rate)
+        bit for bit, in one array, since int16 * 2**-15 lies in [-1, 1) and
+        needs no clamp."""
+        clip = object.__new__(cls)
+        object.__setattr__(clip, "sample_rate", sample_rate)
+        clip._adopt(pcm16_to_float(pcm))
+        return clip
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -171,10 +166,9 @@ def resample_linear(clip: AudioClip, target_rate: int) -> AudioClip:
     Sample i of the output is taken at source position i * source/target,
     with edge-hold beyond the final input sample. Equal rates return the
     clip unchanged. When the source rate is an integer multiple k of the
-    target (48 kHz to 16 kHz, say), every position is an input sample and
-    never past the last, so the output is every k-th sample: what the
-    interpolation gives at its knots, bit for bit, in a compact copy that is
-    not clamped again, so the source clip can be freed.
+    target (48 kHz to 16 kHz, say), every position is an input sample, so the
+    output is every k-th sample bit for bit (``decimate_pcm16`` takes them
+    before the float conversion).
     """
     if target_rate <= 0:
         raise ValueError(f"target_rate must be positive, got {target_rate}")
@@ -184,9 +178,6 @@ def resample_linear(clip: AudioClip, target_rate: int) -> AudioClip:
     n_out = int(round(n_in * target_rate / clip.sample_rate))
     if n_in == 0 or n_out == 0:
         return AudioClip(np.zeros(n_out), target_rate)
-    step, remainder = divmod(clip.sample_rate, target_rate)
-    if remainder == 0:
-        return AudioClip._in_range(np.ascontiguousarray(clip.samples[: n_out * step : step]), target_rate)
     positions = np.arange(n_out) * (clip.sample_rate / target_rate)
     out = np.interp(positions, np.arange(n_in), clip.samples)
     return AudioClip(out, target_rate)

@@ -61,6 +61,15 @@ class FeatureConfig:
         if self.log_floor <= 0:
             raise ValueError("log_floor must be positive")
 
+    def rows(self, n_samples: int) -> int:
+        """MFCC rows of a clip of ``n_samples`` at the canonical rate: row r is
+        the fft_size window centred on sample r * hop."""
+        return 1 + n_samples // self.hop
+
+    def span(self, rows: int) -> int:
+        """The samples that rows [0, rows) read, the clip's reflection aside."""
+        return (rows - 1) * self.hop + self.fft_size // 2
+
     def to_dict(self) -> dict:
         return asdict(self)
 
@@ -114,20 +123,28 @@ def hann_window(n: int) -> np.ndarray:
     return window
 
 
-def frame_signal(clip: AudioClip, cfg: FeatureConfig) -> np.ndarray:
-    """Centered, windowed frames, shape [T, fft_size], T = 1 + len // hop.
-
-    The signal is reflect-padded by fft_size/2 on both ends so frame i is
-    centered on sample i * hop. Frames of an empty clip degrade to one
-    all-zero frame.
+def frame_signal(clip: AudioClip, cfg: FeatureConfig, rows: slice = slice(None)) -> np.ndarray:
+    """Centered, windowed frames ``rows`` of the clip's cfg.rows(len(clip)), each
+    [fft_size]: frame i is centred on sample i * hop of the clip reflected by
+    fft_size/2 at both ends. Only the samples the rows read are framed, and
+    they are those rows of the whole clip's frames, bit for bit. An empty clip
+    has one all-zero frame.
     """
-    x = clip.samples
-    n_fft, hop = cfg.fft_size, cfg.hop
-    if len(x) == 0:
-        return np.zeros((1, n_fft))
-    pad = n_fft // 2
-    padded = np.pad(x, pad, mode="reflect")
-    frames = np.lib.stride_tricks.sliding_window_view(padded, n_fft)[::hop][: 1 + len(x) // hop]
+    n, n_fft, half = len(clip), cfg.fft_size, cfg.fft_size // 2
+    start, stop, step = rows.indices(cfg.rows(n))
+    if step != 1:
+        raise ValueError(f"rows must be contiguous, got step {step}")
+    if n == 0 or stop <= start:
+        return np.zeros((max(stop - start, 0), n_fft))
+    lo, hi = start * cfg.hop - half, (stop - 1) * cfg.hop + half  # the samples the rows read
+    pad = (max(-lo, 0), max(hi - n, 0))
+    # the left reflection reads samples [1, 1 - lo), the right one [2n - 1 - hi, n - 1)
+    begin, end = min(max(lo, 0), 2 * n - 1 - hi), max(min(hi, n), 1 - lo)
+    if begin < 0 or end > n:  # a reflection passes the clip's far end: pad all of it, as np.pad does
+        begin, end, pad = 0, n, (half, half)
+    padded = np.pad(clip.samples[begin:end], pad, mode="reflect")
+    first = lo - (begin - pad[0])  # where row `start`'s window begins in padded
+    frames = np.lib.stride_tricks.sliding_window_view(padded, n_fft)[first :: cfg.hop][: stop - start]
     return frames * hann_window(n_fft)
 
 
@@ -229,9 +246,15 @@ def dct2_ortho(x: np.ndarray, keep: int) -> np.ndarray:
     return x @ _dct2_basis(n, keep)
 
 
-def mfcc_frames(clip: AudioClip, cfg: FeatureConfig = FeatureConfig()) -> MfccMatrix:
-    """Full pipeline: clip at the canonical rate -> [T, n_mfcc] coefficient matrix."""
-    frames = frame_signal(clip, cfg)
+def mfcc_frames(clip: AudioClip, cfg: FeatureConfig = FeatureConfig(),
+                rows: slice = slice(None)) -> MfccMatrix:
+    """Full pipeline: clip at the canonical rate -> [T, n_mfcc] coefficient matrix,
+    or its ``rows`` alone.
+
+    Rows taken in pieces of at least 2 equal those of the whole matrix bit for
+    bit. A one-row piece takes a BLAS matrix-vector path whose bits may differ.
+    """
+    frames = frame_signal(clip, cfg, rows)
     spectra = power_spectrum(frames)
     mel_power = np.zeros((len(spectra), cfg.n_mels))
     for start, lo, block in _mel_groups(cfg, clip.sample_rate):

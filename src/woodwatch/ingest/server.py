@@ -14,16 +14,18 @@ whose sample rate lies outside 8-192 kHz: at an absurd rate a clip never
 fills, or one frame makes thousands of clips. Each clip is
 CANONICAL_SECONDS of samples, the window ``extract`` cuts for training.
 A clip's MFCC rows come from two passes when the stream's rate is a
-multiple of CANONICAL_RATE: the head pass computes rows [0, HEAD_ROWS) once
-their span has arrived and the connection has no received byte waiting, and
-once the clip is full the tail pass computes the rest. While bytes wait, the
-rest of the clip may be in already, and then a head pass could not make the
-record earlier; so the head pass waits for the first idle moment after its
-span, and a clip that finds none before its last frame takes one pass over
-the whole clip at its end, as every other rate does. Each row depends only on
-its own window, so the rows are bit-equal either way. Each pass takes its
-span to the canonical rate: every k-th int16 sample at k times that rate,
-interpolation at any other. When the checkpoint's graph holds an LSTM that
+multiple of CANONICAL_RATE: the head pass computes rows [0, HEAD_ROWS) from
+their span (``FeatureConfig.span``) once it has arrived and the connection has
+no received byte waiting, and once the clip is full the tail pass computes
+rows [HEAD_ROWS, T) from the whole clip. While bytes wait, the rest of the
+clip may be in already, and then a head pass could not make the record
+earlier; so the head pass waits for the first idle moment after its span, and
+a clip that finds none before its last frame takes one pass over the whole
+clip at its end, as every other rate does. ``features.mfcc_frames`` computes
+any range of at least 2 rows bit-equal to those rows of the whole clip, so
+the rows are bit-equal either way. Each pass takes its PCM to the canonical
+rate: every k-th int16 sample at k times that rate, interpolation at any
+other. When the checkpoint's graph holds an LSTM that
 only nearby rows feed, the head pass also runs the model over its rows up to
 the LSTM steps they settle, and the clip's end resumes the LSTM from there
 (``ModelGraph.head_steps``), with the bits of one forward. The full clip's
@@ -47,14 +49,12 @@ import contextlib
 import io
 import itertools
 import logging
-import math
 import select
 import socket
 import threading
 import time
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -86,36 +86,17 @@ MAX_CLASSIFYING = 2
 HEAD_ROWS = 128
 
 
-class _Split(NamedTuple):
-    """Where a clip's two MFCC passes read, in samples at the stream's rate."""
-
-    head_end: int  # the head pass reads [0, head_end) and keeps its first HEAD_ROWS rows
-    tail_start: int  # the tail pass reads [tail_start, clip end) ...
-    tail_skip: int  # ... and drops its first tail_skip rows
-
-
-def _two_pass_split(cfg: FeatureConfig, sample_rate: int, clip_samples: int) -> _Split | None:
-    """The split of a clip into a head and a tail pass whose rows are bit-equal
-    to one pass over the whole clip, or None when the clip takes that one pass:
-    at a rate that is not a multiple of CANONICAL_RATE (interpolation mixes
-    samples across any cut) or a clip too short for HEAD_ROWS rows and a tail.
-
-    Row r is the fft_size window centred on sample r * hop at the canonical
-    rate, with the clip reflected at both ends. The head span ends with row
-    HEAD_ROWS - 1's window, so no kept head row reaches the span's own right
-    reflection. The tail span starts tail_skip rows before row HEAD_ROWS, and
-    the rows it drops are the ones that reach its own left reflection.
-    """
+def _head_span(cfg: FeatureConfig, sample_rate: int) -> int | None:
+    """The PCM bytes at ``sample_rate`` that a clip's rows [0, HEAD_ROWS) read, or
+    None when each clip takes one pass at its end: at a rate that is not a
+    multiple of CANONICAL_RATE (interpolation mixes samples across any cut), when
+    the span is a whole clip, or when a pass would compute under 2 rows (a
+    one-row piece's bits may differ from the whole clip's)."""
     step, remainder = divmod(sample_rate, CANONICAL_RATE)
-    if remainder or clip_samples % step:
+    n = segment_samples(CANONICAL_SECONDS, CANONICAL_RATE)
+    if remainder or not 2 <= HEAD_ROWS <= cfg.rows(n) - 2 or cfg.span(HEAD_ROWS) >= n:
         return None
-    n, half, hop = clip_samples // step, cfg.fft_size // 2, cfg.hop
-    skip = -(-half // hop)
-    head_end = (HEAD_ROWS - 1) * hop + half
-    tail_start = (HEAD_ROWS - skip) * hop
-    if not (half < head_end <= n and skip <= HEAD_ROWS <= n // hop and n - tail_start > half):
-        return None
-    return _Split(head_end * step, tail_start * step, skip)
+    return 2 * step * cfg.span(HEAD_ROWS)
 
 
 def _readable(sock: socket.socket, timeout: float) -> bool:
@@ -152,23 +133,20 @@ class _DeviceSession:
         self.next_seq = 0
         self.pending = bytearray()  # PCM bytes not yet cut into a clip
         self.stream_position = 0  # sample index of the next clip start, from the first frame
-        self.split: _Split | None = None  # None: each clip takes one pass at its end
-        # len(pending) at which the head pass of the clip being filled is due;
-        # clip_bytes once it ran or when there is none, since accept cuts a full clip
-        self.head_due: float = math.inf
-        self.head_rows: np.ndarray | None = None  # its rows [0, HEAD_ROWS), once it ran ...
-        self.head_state: HeadState | None = None  # ... and the model's state over them, if its graph has one
+        self.head_span: int | None = None  # PCM bytes of a clip's head span; None: each clip takes one pass
+        self.head_due: int | None = None  # head_span while the clip being filled awaits its head pass
+        self.head: tuple[np.ndarray, HeadState | None] | None = None  # the head pass's rows and model state
 
     def take_head_span(self) -> np.ndarray:
         """The head span of the clip being filled, whose head pass is then no longer due."""
-        self.head_due = self.clip_bytes
-        return np.frombuffer(self.pending[: 2 * self.split.head_end], dtype="<i2")
+        self.head_due = None
+        return np.frombuffer(self.pending[: self.head_span], dtype="<i2")
 
-    def take_head(self) -> tuple[np.ndarray | None, HeadState | None]:
-        """The head rows and model state of the clip just cut, if its head pass ran;
-        the next clip's head pass is then due."""
-        head, self.head_rows, self.head_state = (self.head_rows, self.head_state), None, None
-        self.head_due = 2 * self.split.head_end if self.split else self.clip_bytes
+    def take_head(self) -> tuple[np.ndarray, HeadState | None] | None:
+        """The head rows and model state of the clip just cut, or None if its head pass
+        did not run; the next clip's head pass is then due."""
+        head, self.head = self.head, None
+        self.head_due = self.head_span
         return head
 
     def accept(self, frame: protocol.DeviceFrame, stats: "_Stats") -> list[np.ndarray]:
@@ -185,8 +163,7 @@ class _DeviceSession:
             self.sample_rate = frame.sample_rate
             self.clip_bytes = 2 * segment_samples(CANONICAL_SECONDS, frame.sample_rate)
             self.next_seq = frame.seq  # a device may resume its numbering on a new connection
-            self.split = _two_pass_split(self.feature_config, frame.sample_rate, self.clip_bytes // 2)
-            self.take_head()  # arms the first clip's head pass
+            self.head_span = self.head_due = _head_span(self.feature_config, frame.sample_rate)
         if frame.device_id != self.device_id or frame.sample_rate != self.sample_rate:
             stats.bump("protocol_errors")
             return []
@@ -280,8 +257,9 @@ class IngestServer:
         keep_malloc_heap()
         (self._graph, self._kind, self._feature_config, self._stats_norm,
          self._checkpoint_id) = load_model(checkpoint_path)
-        # MFCC rows of a whole clip at any rate that takes a head pass: 157 at the defaults
-        self._clip_rows = 1 + segment_samples(CANONICAL_SECONDS, CANONICAL_RATE) // self._feature_config.hop
+        # the LSTM steps a head pass settles (31 of 39 for cnn_lstm at the defaults), or None
+        self._head_steps = self._graph.head_steps(
+            HEAD_ROWS, self._feature_config.rows(segment_samples(CANONICAL_SECONDS, CANONICAL_RATE)))
 
         try:
             with open(self.store_path, "a", encoding="utf-8"):
@@ -390,7 +368,8 @@ class IngestServer:
                     break
                 for clip_pcm in clips:
                     self.process_clip(session, clip_pcm)
-                if len(session.pending) >= session.head_due and stream.idle():
+                if (session.head_due is not None and len(session.pending) >= session.head_due
+                        and stream.idle()):
                     self.run_head_pass(session)
         finally:
             self.stats.bump("dropped_samples", len(session.pending) // 2)
@@ -401,11 +380,11 @@ class IngestServer:
 
     # -- classification path -------------------------------------------------
 
-    def featurize_pcm(self, pcm: np.ndarray, sample_rate: int) -> np.ndarray:
-        """MFCC rows, [T, n_mfcc], of int16 samples resampled to the canonical rate."""
+    def featurize_pcm(self, pcm: np.ndarray, sample_rate: int, rows: slice = slice(None)) -> np.ndarray:
+        """MFCC rows ``rows`` of the [T, n_mfcc] of int16 samples resampled to the canonical rate."""
         pcm, sample_rate = decimate_pcm16(pcm, sample_rate, CANONICAL_RATE)
         clip = resample_linear(AudioClip.from_pcm16(pcm, sample_rate), CANONICAL_RATE)
-        return mfcc_frames(clip, self._feature_config).values
+        return mfcc_frames(clip, self._feature_config, rows).values
 
     def score_rows(self, rows: np.ndarray, head: HeadState | None = None) -> tuple[str, float]:
         """Label and P(infested) for one clip's MFCC rows, its model resumed from ``head`` if given."""
@@ -415,10 +394,10 @@ class IngestServer:
 
     def score_head(self, head_rows: np.ndarray) -> HeadState | None:
         """The model's state over a clip's head rows, or None when its graph scores a clip in one pass."""
-        steps = self._graph.head_steps(len(head_rows), self._clip_rows)
-        if steps is None:
+        if self._head_steps is None:
             return None
-        return self._graph.run_head(to_model_input(self._kind, head_rows[None], self._stats_norm), steps)
+        return self._graph.run_head(to_model_input(self._kind, head_rows[None], self._stats_norm),
+                                    self._head_steps)
 
     def classify_pcm(self, pcm: np.ndarray, sample_rate: int) -> tuple[str, float]:
         """Label and P(infested) for one clip of int16 samples, from one pass over the whole clip."""
@@ -433,26 +412,26 @@ class IngestServer:
         span = session.take_head_span()
         try:
             with self._classifying:
-                rows = self.featurize_pcm(span, session.sample_rate)[:HEAD_ROWS]
+                rows = self.featurize_pcm(span, session.sample_rate, slice(HEAD_ROWS))
                 state = self.score_head(rows)
         except Exception:
             log.exception("head pass failed for device %s; its clip takes one pass at its end",
                           session.device_id)
             return
-        session.head_rows, session.head_state = rows, state
+        session.head = rows, state
 
     def process_clip(self, session: _DeviceSession, clip_pcm: np.ndarray) -> None:
         start = session.stream_position
         session.stream_position += len(clip_pcm)
         index = start // len(clip_pcm)
-        head_rows, head_state = session.take_head()
+        head_rows, head_state = session.take_head() or (None, None)
         try:  # a non-finite P(infested) fails in DetectionRecord: counted here too
             with self._classifying:
                 if head_rows is None:
                     rows = self.featurize_pcm(clip_pcm, session.sample_rate)
                 else:
-                    tail = self.featurize_pcm(clip_pcm[session.split.tail_start :], session.sample_rate)
-                    rows = np.concatenate([head_rows, tail[session.split.tail_skip :]])
+                    rows = np.concatenate([head_rows, self.featurize_pcm(clip_pcm, session.sample_rate,
+                                                                         slice(HEAD_ROWS, None))])
                 label, p_infested = self.score_rows(rows, head_state)
             if head_state is not None:
                 self.stats.bump("head_scored_clips")

@@ -15,8 +15,10 @@ from pathlib import Path
 
 import numpy as np
 
+from .audio import CANONICAL_RATE
 from .errors import CheckpointError, TrainingDivergedError
-from .features import FeatureConfig, FeatureSet, StandardizeStats, apply_standardize, fit_standardize
+from .features import (FeatureConfig, FeatureSet, StandardizeStats, apply_standardize, fit_standardize,
+                       mel_filterbank)
 from .nn import (
     Adam,
     Conv1D,
@@ -232,13 +234,15 @@ def load_model(path: str | Path) -> tuple[ModelGraph, ModelKind, FeatureConfig,
                                          StandardizeStats | None, str]:
     """A checkpoint's graph, kind, feature config, standardization stats and id.
 
-    Stats must hold one finite mean and one finite, positive std per
-    coefficient of the feature config; anything else raises CheckpointError.
+    The feature config must run at the canonical rate, and stats must hold
+    one finite mean and one finite, positive std per coefficient of it;
+    anything else raises CheckpointError.
     """
     checkpoint = load_checkpoint(path)
     try:
         kind = ModelKind(checkpoint.kind)
         cfg = FeatureConfig.from_dict(checkpoint.feature_config) if checkpoint.feature_config else FeatureConfig()
+        mel_filterbank(cfg, CANONICAL_RATE)  # fmax past the canonical Nyquist raises
         stats = StandardizeStats.from_dict(checkpoint.feature_stats) if checkpoint.feature_stats else None
         if stats is not None:
             if not stats.mean.shape == stats.std.shape == (cfg.n_mfcc,):

@@ -376,6 +376,18 @@ def test_checkpoint_stats_that_do_not_fit_its_feature_config_are_data_error(caps
     assert "listening" not in out  # serve stopped before it bound
 
 
+def test_serve_refuses_a_checkpoint_whose_features_cannot_run_at_16_khz(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(IngestServer, "run", IngestServer.stop)  # a server that starts returns at once
+    ckpt = tmp_path / "fmax9k.ckpt"
+    save_checkpoint(ckpt, build_model(ModelKind.DNN_MEAN, seed=0), ModelKind.DNN_MEAN.value, seed=0,
+                    feature_config=FeatureConfig(fmax=9000.0).to_dict())
+    code, out, err = run_cli(capsys, "serve", "--checkpoint", str(ckpt),
+                             "--store", str(tmp_path / "s.jsonl"), "--port", "0")
+    assert code == 2
+    assert str(ckpt) in err and "Nyquist" in err
+    assert "listening" not in out  # serve stopped before it bound
+
+
 @pytest.mark.parametrize("field", ["kind", "seed"])
 def test_checkpoint_header_without_kind_or_seed_is_data_error(capsys, small_pipeline, tmp_path, field):
     _, feats = small_pipeline

@@ -11,7 +11,7 @@ import pytest
 
 import oracles
 import woodwatch
-from woodwatch.audio import AudioClip
+from woodwatch.audio import CANONICAL_RATE, AudioClip, resample_linear
 from woodwatch.errors import InvalidDatasetError
 from woodwatch.features import (
     FeatureConfig,
@@ -76,6 +76,27 @@ def test_reflect_padding_centers_leading_impulse():
     # reflect padding mirrors the signal, so frame 0 is symmetric about the impulse
     for offset in (1, 5, 100, 511):
         assert frames[0, center + offset] == pytest.approx(frames[0, center - offset], abs=1e-15)
+
+
+def test_frames_of_a_row_range_are_those_rows_of_the_whole_clip_bit_for_bit():
+    tiny = FeatureConfig(fft_size=16, hop=3, n_mels=8, n_mfcc=4)
+    rng = np.random.default_rng(2)
+    cases = [(tiny, n) for n in range(40)] + [(CFG, n) for n in (0, 1, 5, 700, 1023, 1024, 1025, 3000)]
+    for cfg, n in cases:
+        clip = AudioClip(rng.uniform(-1, 1, n), 16000)
+        # the whole clip reflect-padded by fft_size / 2 at both ends, as np.pad reflects it
+        padded = np.pad(clip.samples, cfg.fft_size // 2, mode="reflect") if n else np.zeros(cfg.fft_size)
+        whole = np.lib.stride_tricks.sliding_window_view(padded, cfg.fft_size)[:: cfg.hop][: cfg.rows(n)]
+        whole = whole * hann_window(cfg.fft_size)
+        assert frame_signal(clip, cfg).tobytes() == whole.tobytes(), (cfg, n)
+        if cfg is tiny:  # every range, in numpy's slice terms, including the ones a reflection bounces in
+            for start in range(-len(whole) - 1, len(whole) + 2):
+                for stop in [None, *range(-len(whole) - 1, len(whole) + 2)]:
+                    frames = frame_signal(clip, cfg, slice(start, stop))
+                    assert frames.shape == whole[start:stop].shape, (n, start, stop)
+                    assert frames.tobytes() == whole[start:stop].tobytes(), (n, start, stop)
+    with pytest.raises(ValueError, match="contiguous"):
+        frame_signal(pink_clip(), CFG, slice(0, 10, 2))
 
 
 # -- power spectrum ----------------------------------------------------------
@@ -216,6 +237,33 @@ def test_mfcc_mel_product_matches_the_dense_filterbank():
             mel_power = power_spectrum(frame_signal(clip, cfg)) @ mel_filterbank(cfg, rate).T
             dense = dct2_ortho(power_to_db(mel_power, cfg.log_floor), cfg.n_mfcc)
             assert np.abs(mfcc_frames(clip, cfg).values - dense).max() <= 1e-12, (cfg, rate)
+
+
+SPLIT_CONFIGS = {
+    "default": FeatureConfig(),
+    "1024-256": FeatureConfig(fft_size=1024, hop=256),
+    "512-160": FeatureConfig(fft_size=512, hop=160, n_mels=40, n_mfcc=13),
+    "hop-300": FeatureConfig(hop=300),  # fft_size / 2 is no multiple of hop
+}
+
+
+@pytest.mark.parametrize("rate", [16_000, 32_000, 48_000, 96_000, 192_000])
+@pytest.mark.parametrize("config", SPLIT_CONFIGS)
+def test_rows_in_two_pieces_are_the_whole_clip_rows_bit_for_bit(config, rate):
+    """Rows [0, h) from the samples they read and rows [h, T) from the whole clip, as a
+    streaming server computes them, for pieces of at least 2 rows."""
+    cfg = SPLIT_CONFIGS[config]
+    pcm = (np.random.default_rng([rate, cfg.hop]).standard_normal(5 * rate) * 3000).astype("<i2")
+    step = rate // CANONICAL_RATE
+
+    def rows(pcm, rows=slice(None)):
+        return mfcc_frames(resample_linear(AudioClip.from_pcm16(pcm, rate), CANONICAL_RATE), cfg, rows).values
+
+    whole = rows(pcm)
+    assert len(whole) == cfg.rows(5 * CANONICAL_RATE)
+    for h in (2, 3, 64, 128, len(whole) - 3, len(whole) - 2):
+        head = rows(pcm[: step * cfg.span(h)], slice(h))
+        assert np.array_equal(np.concatenate([head, rows(pcm, slice(h, None))]), whole), h
 
 
 def test_the_package_loads_no_third_party_module_but_numpy():

@@ -23,7 +23,7 @@ from conftest import wait_for
 from woodwatch import allocator
 from woodwatch.audio import (CANONICAL_RATE, AudioClip, float_to_pcm16, pcm16_to_float, read_wav_pcm16,
                              resample_linear, save_wav)
-from woodwatch.errors import ServerStartupError, TransportError
+from woodwatch.errors import CheckpointError, ServerStartupError, TransportError
 from woodwatch.features import FeatureConfig, apply_standardize, mfcc_frames
 from woodwatch.ingest import (
     DetectionRecord,
@@ -36,7 +36,7 @@ from woodwatch.ingest import (
 from woodwatch.ingest import server as server_module
 from woodwatch.ingest.protocol import HEADER_SIZE, DeviceFrame, encode_frame
 from woodwatch.models import ModelKind, TrainConfig, build_model, load_model, model_inputs, predict, train
-from woodwatch.nn import save_checkpoint
+from woodwatch.nn import load_checkpoint, save_checkpoint
 from woodwatch.synth import SynthConfig, gen_clean_clip, gen_infested_clip
 
 
@@ -638,6 +638,12 @@ def test_server_startup_errors(served_checkpoint, tmp_path):
     blocker.close()
     with pytest.raises(ServerStartupError):
         IngestServer(0, served_checkpoint, tmp_path / "missing-dir" / "s.jsonl")
+    checkpoint = load_checkpoint(served_checkpoint)  # features that cannot run at 16 kHz
+    save_checkpoint(tmp_path / "fmax9k.ckpt", checkpoint.graph, checkpoint.kind, checkpoint.seed,
+                    feature_stats=checkpoint.feature_stats,
+                    feature_config=FeatureConfig(fmax=9000.0).to_dict())
+    with pytest.raises(CheckpointError, match="Nyquist"):
+        IngestServer(0, tmp_path / "fmax9k.ckpt", tmp_path / "s.jsonl")
 
 
 # -- connection cap ---------------------------------------------------------------------
@@ -1011,43 +1017,17 @@ def offline_rows(pcm, rate, cfg=FeatureConfig()):
     return mfcc_frames(clip, cfg).values
 
 
-SPLIT_CONFIGS = {
-    "default": FeatureConfig(),
-    "1024-256": FeatureConfig(fft_size=1024, hop=256),
-    "512-160": FeatureConfig(fft_size=512, hop=160, n_mels=40, n_mfcc=13),
-    "hop-300": FeatureConfig(hop=300),  # fft_size / 2 is no multiple of hop: 4 tail rows dropped
-}
-
-
-@pytest.mark.parametrize("rate", [16_000, 32_000, 48_000, 96_000, 192_000])
-@pytest.mark.parametrize("config", SPLIT_CONFIGS)
-def test_two_passes_give_the_whole_clip_rows_bit_for_bit(config, rate, monkeypatch):
-    cfg = SPLIT_CONFIGS[config]
-    pcm = (np.random.default_rng([rate, cfg.hop]).standard_normal(5 * rate) * 3000).astype("<i2")
-    whole = offline_rows(pcm, rate, cfg)
-    skip = -(-cfg.fft_size // 2 // cfg.hop)
-    last = (5 * CANONICAL_RATE - cfg.fft_size // 2) // cfg.hop + 1  # the most rows a head span holds
-    for head_rows in (skip, 64, server_module.HEAD_ROWS, last):
-        monkeypatch.setattr(server_module, "HEAD_ROWS", head_rows)
-        split = server_module._two_pass_split(cfg, rate, len(pcm))
-        head = offline_rows(pcm[: split.head_end], rate, cfg)[:head_rows]
-        tail = offline_rows(pcm[split.tail_start :], rate, cfg)[split.tail_skip :]
-        assert np.array_equal(np.concatenate([head, tail]), whole), head_rows
-    for head_rows in (skip - 1, last + 1):  # a head without the rows the tail drops; one past the clip
-        monkeypatch.setattr(server_module, "HEAD_ROWS", head_rows)
-        assert server_module._two_pass_split(cfg, rate, len(pcm)) is None
-
-
 @pytest.fixture()
 def served_passes(running_server, monkeypatch):
-    """The samples each MFCC pass of the running server reads, and the rows of each clip it scores."""
+    """The samples and the row range of each MFCC pass of the running server, and the rows
+    of each clip it scores."""
     server = running_server[0]
     spans, scored = [], []
     featurize, score = server.featurize_pcm, server.score_rows
 
-    def featurize_logged(pcm, sample_rate):
-        spans.append(len(pcm))
-        return featurize(pcm, sample_rate)
+    def featurize_logged(pcm, sample_rate, rows=slice(None)):
+        spans.append((len(pcm), rows))
+        return featurize(pcm, sample_rate, rows)
 
     def score_logged(rows, head=None):
         scored.append(rows)
@@ -1087,23 +1067,24 @@ def send_pausing_for_head_passes(conn, frames, pauses, head_passes):
     conn.sendall(b"".join(frames[sent:]))
 
 
-HEAD_SPAN = (server_module.HEAD_ROWS - 1) * 512 + 1024  # at 16 kHz and the default FeatureConfig
-TAIL_SPAN = 80_000 - (server_module.HEAD_ROWS - 2) * 512
+HEAD_SPAN = FeatureConfig().span(server_module.HEAD_ROWS)  # samples at 16 kHz
 HEAD_FRAMES = -(-HEAD_SPAN // 2500)  # the 2,500-sample frames that bring a 16 kHz head span
+HEAD, TAIL, WHOLE = slice(server_module.HEAD_ROWS), slice(server_module.HEAD_ROWS, None), slice(None)
 
 
 @pytest.mark.parametrize("rate, spans", [
-    (16_000, [HEAD_SPAN, TAIL_SPAN]),
-    (48_000, [3 * HEAD_SPAN, 3 * TAIL_SPAN]),
-    (44_100, [5 * 44_100]),  # not a multiple of 16 kHz: one pass at the clip's end
-    (96_000, [6 * HEAD_SPAN, 6 * TAIL_SPAN]),
-    (192_000, [12 * HEAD_SPAN, 12 * TAIL_SPAN]),
+    (16_000, [(HEAD_SPAN, HEAD), (80_000, TAIL)]),
+    (48_000, [(3 * HEAD_SPAN, HEAD), (240_000, TAIL)]),
+    (44_100, [(5 * 44_100, WHOLE)]),  # not a multiple of 16 kHz: one pass at the clip's end
+    (96_000, [(6 * HEAD_SPAN, HEAD), (480_000, TAIL)]),
+    (192_000, [(12 * HEAD_SPAN, HEAD), (960_000, TAIL)]),
+    (32_000, [(2 * HEAD_SPAN, HEAD), (160_000, TAIL)]),
 ])
 def test_a_served_clip_is_scored_on_the_whole_clip_rows(running_server, served_passes, head_passes,
                                                         served_checkpoint, rate, spans):
     server, store, _ = running_server
     pcm = (np.random.default_rng(rate).standard_normal(5 * rate) * 3000).astype("<i2")
-    pauses = [-(-spans[0] // 2500)] if len(spans) == 2 else []
+    pauses = [-(-spans[0][0] // 2500)] if len(spans) == 2 else []
     with socket.create_connection(("127.0.0.1", server.port)) as conn:
         send_pausing_for_head_passes(conn, frames_of(41, pcm, rate), pauses, head_passes)
     assert wait_for(lambda: server.stats.snapshot()["records_written"] == 1)
@@ -1114,6 +1095,38 @@ def test_a_served_clip_is_scored_on_the_whole_clip_rows(running_server, served_p
     probs, _ = predict(graph, apply_standardize(offline_rows(pcm, rate, config), stats)[None])
     assert load_store(store)[0][0].p_infested == float(probs[0, 1])
     assert server.stats.snapshot()["head_scored_clips"] == (len(spans) == 2)  # its LSTM resumed
+
+
+def test_a_config_that_would_leave_a_one_row_pass_takes_one_pass(served_checkpoint, tmp_path):
+    cfg = FeatureConfig(fft_size=1024, hop=625)  # 129 rows, and rows [0, 128) read 79,887 samples
+    assert cfg.rows(80_000) == server_module.HEAD_ROWS + 1 and cfg.span(server_module.HEAD_ROWS) < 80_000
+    assert server_module._head_span(cfg, 16_000) is None  # the clip's end would compute one row
+    checkpoint = load_checkpoint(served_checkpoint)
+    save_checkpoint(tmp_path / "hop625.ckpt", checkpoint.graph, checkpoint.kind, checkpoint.seed,
+                    feature_stats=checkpoint.feature_stats, feature_config=cfg.to_dict())
+    server = IngestServer(0, tmp_path / "hop625.ckpt", tmp_path / "store.jsonl")
+    passes, featurize = [], server.featurize_pcm
+
+    def featurize_logged(pcm, sample_rate, rows=slice(None)):
+        passes.append(rows)
+        return featurize(pcm, sample_rate, rows)
+
+    server.featurize_pcm = featurize_logged
+    server.start()
+    try:
+        pcm = (np.random.default_rng(524).standard_normal(80_000) * 3000).astype("<i2")
+        frames = frames_of(48, pcm)
+        with socket.create_connection(("127.0.0.1", server.port)) as conn:
+            conn.sendall(b"".join(frames[:-1]))
+            time.sleep(0.2)  # an idle connection past the span: a head pass, were one due, would run
+            conn.sendall(frames[-1])
+        assert wait_for(lambda: server.stats.snapshot()["records_written"] == 1)
+    finally:
+        server.stop()
+    assert passes == [WHOLE] and server.stats.snapshot()["head_scored_clips"] == 0
+    graph, _, _, stats, _ = load_model(tmp_path / "hop625.ckpt")
+    probs, _ = predict(graph, apply_standardize(offline_rows(pcm, 16_000, cfg), stats)[None])
+    assert load_store(tmp_path / "store.jsonl")[0][0].p_infested == float(probs[0, 1])
 
 
 def test_a_clip_whose_rest_waits_behind_its_head_span_takes_one_pass(running_server, served_passes,
@@ -1134,7 +1147,7 @@ def test_a_clip_whose_rest_waits_behind_its_head_span_takes_one_pass(running_ser
     with socket.create_connection(("127.0.0.1", server.port)) as conn:
         conn.sendall(b"".join(frames_of(46, pcm)))
     assert wait_for(lambda: server.stats.snapshot()["records_written"] == 1)
-    assert served_passes[0] == [80_000]
+    assert served_passes[0] == [(80_000, WHOLE)]
     [rows] = served_passes[1]
     assert np.array_equal(rows, offline_rows(pcm, 16_000))
     graph, _, config, stats, _ = load_model(served_checkpoint)
@@ -1168,7 +1181,7 @@ def test_a_gap_filled_inside_the_head_span_is_in_the_head_rows(running_server, s
     assert server.stats.snapshot()["sequence_gaps"] == 1
     zero_filled = pcm.copy()
     zero_filled[3 * 2500 : 4 * 2500] = 0
-    assert served_passes[0] == [HEAD_SPAN, TAIL_SPAN]
+    assert served_passes[0] == [(HEAD_SPAN, HEAD), (80_000, TAIL)]
     assert np.array_equal(served_passes[1][0], offline_rows(zero_filled, 16_000))
 
 
@@ -1181,7 +1194,8 @@ def test_one_frame_completes_a_clip_and_starts_the_next(running_server, served_p
     assert server.stats.snapshot()["records_written"] == 3
     # frame 1 ends clip 0 and brings clip 1's head span; clip 2's head span was
     # not in before its last frame, so it takes one pass
-    assert served_passes[0] == [HEAD_SPAN, TAIL_SPAN, HEAD_SPAN, TAIL_SPAN, 80_000]
+    assert served_passes[0] == [(HEAD_SPAN, HEAD), (80_000, TAIL), (HEAD_SPAN, HEAD), (80_000, TAIL),
+                                (80_000, WHOLE)]
     for k, rows in enumerate(served_passes[1]):
         assert np.array_equal(rows, offline_rows(pcm[k * 80_000 : (k + 1) * 80_000], 16_000)), k
     assert [r.clip_start for r in load_store(store)[0]] == [0, 80_000, 160_000]
@@ -1196,7 +1210,7 @@ def test_a_connection_that_ends_after_its_head_pass_writes_no_record(running_ser
     expected = dict.fromkeys(server.stats.snapshot(), 0)
     expected.update(frames_ok=27, dropped_samples=27 * 2500)
     assert wait_for(lambda: server.stats.snapshot() == expected), server.stats.snapshot()
-    assert served_passes == ([HEAD_SPAN], [])
+    assert served_passes == ([(HEAD_SPAN, HEAD)], [])
     assert load_store(store)[0] == []
 
 
@@ -1204,18 +1218,18 @@ def test_a_failed_head_pass_leaves_its_clip_one_pass_at_the_end(running_server, 
     server, store, _ = running_server
     featurize, spans = server.featurize_pcm, []
 
-    def fail_first(pcm, sample_rate):
-        spans.append(len(pcm))
+    def fail_first(pcm, sample_rate, rows=slice(None)):
+        spans.append((len(pcm), rows))
         if len(spans) == 1:
             raise MemoryError("no room for the head pass")
-        return featurize(pcm, sample_rate)
+        return featurize(pcm, sample_rate, rows)
 
     monkeypatch.setattr(server, "featurize_pcm", fail_first)
     pcm = (np.random.default_rng(520).standard_normal(80_000) * 3000).astype("<i2")
     with socket.create_connection(("127.0.0.1", server.port)) as conn:
         send_pausing_for_head_passes(conn, frames_of(45, pcm), [HEAD_FRAMES], head_passes)
     assert wait_for(lambda: server.stats.snapshot()["records_written"] == 1)
-    assert spans == [HEAD_SPAN, 80_000] and server.stats.snapshot()["classify_errors"] == 0
+    assert spans == [(HEAD_SPAN, HEAD), (80_000, WHOLE)] and server.stats.snapshot()["classify_errors"] == 0
     assert [r.device_id for r in load_store(store)[0]] == [45]
 
 
@@ -1236,7 +1250,7 @@ def test_a_head_pass_whose_model_part_fails_leaves_its_clip_one_pass_at_the_end(
         send_pausing_for_head_passes(conn, frames_of(47, pcm), [HEAD_FRAMES], head_passes)
     assert wait_for(lambda: server.stats.snapshot()["records_written"] == 1)
     assert calls == [server_module.HEAD_ROWS]
-    assert served_passes[0] == [HEAD_SPAN, 80_000]  # the head rows went with the state
+    assert served_passes[0] == [(HEAD_SPAN, HEAD), (80_000, WHOLE)]  # the head rows went with the state
     stats_now = server.stats.snapshot()
     assert stats_now["classify_errors"] == 0 and stats_now["head_scored_clips"] == 0
     graph, _, config, stats, _ = load_model(served_checkpoint)
