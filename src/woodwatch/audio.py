@@ -68,13 +68,17 @@ class AudioClip:
         object.__setattr__(self, "sample_rate", int(self.sample_rate))
 
     @classmethod
-    def from_pcm16(cls, pcm: np.ndarray, sample_rate: int) -> "AudioClip":
+    def from_pcm16(cls, pcm: np.ndarray, sample_rate: int, part: slice = slice(None)) -> "AudioClip":
         """int16 samples as a clip: ``AudioClip(pcm16_to_float(pcm), rate)``
         bit for bit, in one array, since int16 * 2**-15 lies in [-1, 1) and
-        needs no clamp."""
+        needs no clamp. Given ``part``, only those samples are converted and
+        the others are left unset, for a reader of that part alone (the
+        samples that ``FeatureConfig.reads`` names for a row range)."""
         clip = object.__new__(cls)
         object.__setattr__(clip, "sample_rate", sample_rate)
-        clip._adopt(pcm16_to_float(pcm))
+        samples = np.empty(len(pcm))
+        np.multiply(pcm[part], 1.0 / _PCM_FULL_SCALE, out=samples[part])
+        clip._adopt(samples)
         return clip
 
     def __len__(self) -> int:

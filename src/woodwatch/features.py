@@ -70,6 +70,19 @@ class FeatureConfig:
         """The samples that rows [0, rows) read, the clip's reflection aside."""
         return (rows - 1) * self.hop + self.fft_size // 2
 
+    def reads(self, rows: slice, n_samples: int) -> slice:
+        """The samples of a clip of ``n_samples`` that ``frame_signal`` reads for
+        rows ``rows``, those its reflection at the clip's ends copies included:
+        the whole clip when a reflection passes the clip's far end."""
+        start, stop, _ = rows.indices(self.rows(n_samples))
+        if n_samples == 0 or stop <= start:
+            return slice(0, 0)
+        half = self.fft_size // 2
+        lo, hi = start * self.hop - half, (stop - 1) * self.hop + half  # the rows' windows
+        # the left reflection reads samples [1, 1 - lo), the right one [2n - 1 - hi, n - 1)
+        begin, end = min(max(lo, 0), 2 * n_samples - 1 - hi), max(min(hi, n_samples), 1 - lo)
+        return slice(0, n_samples) if begin < 0 or end > n_samples else slice(begin, end)
+
     def to_dict(self) -> dict:
         return asdict(self)
 
@@ -136,12 +149,12 @@ def frame_signal(clip: AudioClip, cfg: FeatureConfig, rows: slice = slice(None))
         raise ValueError(f"rows must be contiguous, got step {step}")
     if n == 0 or stop <= start:
         return np.zeros((max(stop - start, 0), n_fft))
-    lo, hi = start * cfg.hop - half, (stop - 1) * cfg.hop + half  # the samples the rows read
-    pad = (max(-lo, 0), max(hi - n, 0))
-    # the left reflection reads samples [1, 1 - lo), the right one [2n - 1 - hi, n - 1)
-    begin, end = min(max(lo, 0), 2 * n - 1 - hi), max(min(hi, n), 1 - lo)
-    if begin < 0 or end > n:  # a reflection passes the clip's far end: pad all of it, as np.pad does
-        begin, end, pad = 0, n, (half, half)
+    lo, hi = start * cfg.hop - half, (stop - 1) * cfg.hop + half  # the rows' windows
+    part = cfg.reads(rows, n)
+    begin, end = part.start, part.stop
+    # a whole clip is padded all round, as np.pad of it is: a reflection that passes
+    # its far end reflects again, and the ones within it copy the same samples
+    pad = (half, half) if (begin, end) == (0, n) else (max(-lo, 0), max(hi - n, 0))
     padded = np.pad(clip.samples[begin:end], pad, mode="reflect")
     first = lo - (begin - pad[0])  # where row `start`'s window begins in padded
     frames = np.lib.stride_tricks.sliding_window_view(padded, n_fft)[first :: cfg.hop][: stop - start]

@@ -3,42 +3,43 @@
 ``IngestServer`` owns the whole connection lifecycle. One accept thread
 waits on the listening socket, looking at ``stop()`` every _POLL_S, and
 starts one thread per device connection; one over MAX_CONNECTIONS is closed
-on accept and counted. Validated frames are appended to the device's sample
-buffer in sequence order, counted from the seq of the connection's first
-frame, so a device may go on numbering across a reconnect; sequence gaps
-are zero-filled (sized by the revealing frame) and counted, duplicates are
-dropped. A gap whose fill would exceed one clip is a protocol error that
-ends the connection, so one frame cannot make the server allocate without
-bound. So is a first frame
-whose sample rate lies outside 8-192 kHz: at an absurd rate a clip never
-fills, or one frame makes thousands of clips. Each clip is
+on accept and counted. Validated frames are folded into the device's clip in
+sequence order, counted from the seq of the connection's first frame, so a
+device may go on numbering across a reconnect; sequence gaps are zero-filled
+(sized by the revealing frame) and counted, duplicates are dropped. A gap
+whose fill would exceed one clip is a protocol error that ends the
+connection, so one frame cannot make the server allocate without bound. So
+is a first frame whose sample rate lies outside 8-192 kHz: at an absurd rate
+a clip never fills, or one frame makes thousands of clips. Each clip is
 CANONICAL_SECONDS of samples, the window ``extract`` cuts for training.
-A clip's MFCC rows come from two passes when the stream's rate is a
-multiple of CANONICAL_RATE: the head pass computes rows [0, HEAD_ROWS) from
-their span (``FeatureConfig.span``) once it has arrived and the connection has
-no received byte waiting, and once the clip is full the tail pass computes
-rows [HEAD_ROWS, T) from the whole clip. While bytes wait, the rest of the
+A connection fills one clip at CANONICAL_RATE, allocated at its first sample
+and handed to its passes uncopied: each piece of a frame is resampled once as
+it arrives, every k-th int16 sample at k times that rate and interpolation at
+any other, bit-equal to resampling the whole clip at once. Past arrival the
+source rate no longer matters. A clip's MFCC rows come from two passes: the
+head pass computes rows [0, HEAD_ROWS) from their span (``FeatureConfig.span``)
+once it is in and the connection has no received byte waiting, and once the
+clip is full the tail pass computes rows [HEAD_ROWS, T), converting only the
+samples they read (``FeatureConfig.reads``). While bytes wait, the rest of the
 clip may be in already, and then a head pass could not make the record
 earlier; so the head pass waits for the first idle moment after its span, and
 a clip that finds none before its last frame takes one pass over the whole
-clip at its end, as every other rate does. ``features.mfcc_frames`` computes
-any range of at least 2 rows bit-equal to those rows of the whole clip, so
-the rows are bit-equal either way. Each pass takes its PCM to the canonical
-rate: every k-th int16 sample at k times that rate, interpolation at any
-other. When the checkpoint's graph holds an LSTM that
-only nearby rows feed, the head pass also runs the model over its rows up to
-the LSTM steps they settle, and the clip's end resumes the LSTM from there
+clip at its end. ``features.mfcc_frames`` computes any range of at least 2
+rows bit-equal to those rows of the whole clip, so the rows are bit-equal
+either way. When the checkpoint's graph holds an LSTM that only nearby rows
+feed, the head pass also runs the model over its rows up to the LSTM steps
+they settle, and the clip's end resumes the LSTM from there
 (``ModelGraph.head_steps``), with the bits of one forward. The full clip's
 rows are classified with the loaded checkpoint, and the record is appended
 to the JSON-lines store, all by the connection's own thread, the append
-under one lock. An
-archived clip is the PCM as it arrived and never replaces an earlier one of
-the same name.
-Malformed frames, a frame cut by a close, store failures and broken
-connections are counted, never fatal, and so are the samples of a partial
-clip a connection holds when it ends. A frame must arrive in full within
-IDLE_TIMEOUT_S of the moment the connection starts waiting for it, or the
-connection is closed, so neither a silent client nor one that drips bytes
+under one lock. An archived clip is the PCM as it arrived, written through to
+its WAV frame by frame; it never replaces an earlier one of the same name, and
+it is removed when its clip gets no record.
+Malformed frames, a frame cut by a close, archive and store failures and
+broken connections are counted, never fatal, and so are the samples of a
+partial clip a connection holds when it ends. A frame must arrive in full
+within IDLE_TIMEOUT_S of the moment the connection starts waiting for it, or
+the connection is closed, so neither a silent client nor one that drips bytes
 can hold a thread. At most MAX_CLASSIFYING passes run at once, a head pass
 or a clip's last pass with its classification; the other connections wait.
 """
@@ -53,16 +54,18 @@ import select
 import socket
 import threading
 import time
+import wave
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from ..allocator import keep_malloc_heap
 from ..audio import (CANONICAL_RATE, CANONICAL_SECONDS, AudioClip, ClipLabel, decimate_pcm16,
-                     resample_linear, segment_samples, write_wav_pcm16)
+                     pcm16_to_float, resample_linear, segment_samples)
 from ..errors import IntegrityError, ProtocolError, ServerStartupError, TruncationError
-from ..features import FeatureConfig, mfcc_frames
+from ..features import mfcc_frames
 from ..models import load_model, predict, to_model_input
 from ..nn import HeadState
 from . import protocol
@@ -79,24 +82,11 @@ IDLE_TIMEOUT_S = 30.0  # the time a whole frame may take, counted from when the 
 MAX_CONNECTIONS = 256  # served at once: a device sends a clip every 5 s, one core classifies hundreds
 # MFCC passes at once (a head pass, or a clip's last pass and its classification):
 # the GIL serialises their Python parts, so more gain no throughput, and each
-# holds up to 7.1 MB of temporaries (a whole clip, at any rate)
+# holds up to 7.1 MB of temporaries (a whole clip)
 MAX_CLASSIFYING = 2
 # MFCC rows of a clip that its head pass computes before the clip's last frame
 # arrives: 128 of 157 at the default FeatureConfig
 HEAD_ROWS = 128
-
-
-def _head_span(cfg: FeatureConfig, sample_rate: int) -> int | None:
-    """The PCM bytes at ``sample_rate`` that a clip's rows [0, HEAD_ROWS) read, or
-    None when each clip takes one pass at its end: at a rate that is not a
-    multiple of CANONICAL_RATE (interpolation mixes samples across any cut), when
-    the span is a whole clip, or when a pass would compute under 2 rows (a
-    one-row piece's bits may differ from the whole clip's)."""
-    step, remainder = divmod(sample_rate, CANONICAL_RATE)
-    n = segment_samples(CANONICAL_SECONDS, CANONICAL_RATE)
-    if remainder or not 2 <= HEAD_ROWS <= cfg.rows(n) - 2 or cfg.span(HEAD_ROWS) >= n:
-        return None
-    return 2 * step * cfg.span(HEAD_ROWS)
 
 
 def _readable(sock: socket.socket, timeout: float) -> bool:
@@ -122,34 +112,87 @@ def _claim_wav_path(directory: Path, stem: str) -> Path:
         return path
 
 
-class _DeviceSession:
-    """Reassembly state for one device connection, and the head rows of the clip it fills."""
+class _ArchiveWav:
+    """A clip's archive WAV, written as the clip's source samples arrive. Its
+    header counts the whole clip from the start, so once every sample is in
+    the file holds the bytes ``write_wav_pcm16`` writes for the clip. An
+    OSError removes the file and is kept in ``error``: the clip is then
+    unarchived, and gets no record."""
 
-    def __init__(self, feature_config: FeatureConfig = FeatureConfig()):
-        self.feature_config = feature_config
+    def __init__(self, directory: Path, stem: str, rate: int, n_samples: int):
+        self.path: Path | None = None
+        self.error: OSError | None = None
+        self._wav: wave.Wave_write | None = None
+        try:
+            self.path = _claim_wav_path(directory, stem)
+            self._wav = wave.open(str(self.path), "wb")
+            self._wav.setparams((1, 2, rate, n_samples, "NONE", "not compressed"))
+        except OSError as exc:
+            self.discard(exc)
+
+    def write(self, pcm: np.ndarray) -> None:
+        self._attempt("writeframesraw", pcm)
+
+    def finish(self) -> None:
+        """Close the WAV of a complete clip."""
+        self._attempt("close")
+
+    def _attempt(self, method: str, *args) -> None:
+        if self.error is None:
+            try:
+                getattr(self._wav, method)(*args)
+            except OSError as exc:
+                self.discard(exc)
+
+    def discard(self, error: OSError | None = None) -> None:
+        """Close and remove the WAV, keeping ``error`` if it is the first."""
+        self.error = self.error or error
+        if self._wav is not None:
+            with contextlib.suppress(OSError):
+                self._wav.close()
+        if self.path is not None:
+            with contextlib.suppress(OSError):
+                self.path.unlink()
+        self._wav = self.path = None
+
+
+class _Clip(NamedTuple):
+    """A complete clip: its samples at CANONICAL_RATE and its archive WAV, if any."""
+
+    samples: np.ndarray
+    wav: _ArchiveWav | None
+
+
+class _DeviceSession:
+    """Reassembly state for one device connection: the clip it fills at
+    CANONICAL_RATE as frames arrive, that clip's archive WAV, and its head rows."""
+
+    def __init__(self, head_samples: int | None = None, archive_dir: Path | None = None):
+        self.archive_dir = archive_dir
         self.device_id: int | None = None
         self.sample_rate: int | None = None
-        self.clip_bytes = 0  # CANONICAL_SECONDS of samples, at the first frame's rate
+        self.clip_samples = 0  # CANONICAL_SECONDS of samples, at the first frame's rate
+        self.canonical_samples = 0  # a clip's samples at CANONICAL_RATE, as resample_linear counts them
+        self.step = 0  # k when the rate is k × CANONICAL_RATE: a clip keeps every k-th sample; 0: it interpolates
         self.next_seq = 0
-        self.pending = bytearray()  # PCM bytes not yet cut into a clip
         self.stream_position = 0  # sample index of the next clip start, from the first frame
-        self.head_span: int | None = None  # PCM bytes of a clip's head span; None: each clip takes one pass
-        self.head_due: int | None = None  # head_span while the clip being filled awaits its head pass
+        self.clips_cut = 0  # the index of the clip being filled
+        self.clip: np.ndarray | None = None  # the clip being filled, from its first sample
+        self.received = 0  # its source samples in
+        self.filled = 0  # its samples at CANONICAL_RATE that those settle
+        self.last = 0  # its last source sample in: the knot that the next piece interpolates from
+        self.wav: _ArchiveWav | None = None
+        self.head_samples = self.head_due = head_samples  # canonical samples; None: each clip takes one pass
         self.head: tuple[np.ndarray, HeadState | None] | None = None  # the head pass's rows and model state
-
-    def take_head_span(self) -> np.ndarray:
-        """The head span of the clip being filled, whose head pass is then no longer due."""
-        self.head_due = None
-        return np.frombuffer(self.pending[: self.head_span], dtype="<i2")
 
     def take_head(self) -> tuple[np.ndarray, HeadState | None] | None:
         """The head rows and model state of the clip just cut, or None if its head pass
         did not run; the next clip's head pass is then due."""
         head, self.head = self.head, None
-        self.head_due = self.head_span
+        self.head_due = self.head_samples
         return head
 
-    def accept(self, frame: protocol.DeviceFrame, stats: "_Stats") -> list[np.ndarray]:
+    def accept(self, frame: protocol.DeviceFrame, stats: "_Stats") -> list[_Clip]:
         """Fold one validated frame in; returns any completed clips.
 
         Raises ProtocolError, before allocating, for a first frame whose rate
@@ -161,29 +204,88 @@ class _DeviceSession:
                                     f"{MIN_SAMPLE_RATE}-{MAX_SAMPLE_RATE} Hz")
             self.device_id = frame.device_id
             self.sample_rate = frame.sample_rate
-            self.clip_bytes = 2 * segment_samples(CANONICAL_SECONDS, frame.sample_rate)
+            self.clip_samples = segment_samples(CANONICAL_SECONDS, frame.sample_rate)
+            self.canonical_samples = int(round(self.clip_samples * CANONICAL_RATE / frame.sample_rate))
+            step, remainder = divmod(frame.sample_rate, CANONICAL_RATE)
+            self.step = 0 if remainder else step
             self.next_seq = frame.seq  # a device may resume its numbering on a new connection
-            self.head_span = self.head_due = _head_span(self.feature_config, frame.sample_rate)
         if frame.device_id != self.device_id or frame.sample_rate != self.sample_rate:
             stats.bump("protocol_errors")
             return []
         if frame.seq < self.next_seq:
             stats.bump("duplicate_frames")
             return []
+        clips: list[_Clip] = []
         if frame.seq > self.next_seq:
-            fill = (frame.seq - self.next_seq) * len(frame.payload)
-            if fill > self.clip_bytes:
-                raise ProtocolError(f"sequence gap of {fill // 2} samples exceeds one clip")
-            self.pending += bytes(fill)
+            fill = (frame.seq - self.next_seq) * (len(frame.payload) // 2)
+            if fill > self.clip_samples:
+                raise ProtocolError(f"sequence gap of {fill} samples exceeds one clip")
+            self._fold(np.zeros(fill, dtype="<i2"), clips)
             stats.bump("sequence_gaps")
-        self.pending += frame.payload
+        self._fold(np.frombuffer(frame.payload, dtype="<i2"), clips)
         self.next_seq = frame.seq + 1
-
-        clips = []
-        while len(self.pending) >= self.clip_bytes:
-            clips.append(np.frombuffer(self.pending[: self.clip_bytes], dtype="<i2"))
-            del self.pending[: self.clip_bytes]
         return clips
+
+    def _fold(self, pcm: np.ndarray, clips: list[_Clip]) -> None:
+        """Take source samples that follow those in into the clip being filled,
+        and each clip they complete into ``clips``."""
+        while len(pcm):
+            if self.clip is None:
+                self._start_clip()
+            piece, pcm = pcm[: self.clip_samples - self.received], pcm[self.clip_samples - self.received :]
+            self._resample(piece)
+            if self.wav is not None:
+                self.wav.write(piece)
+            self.received += len(piece)
+            if self.received == self.clip_samples:
+                clips.append(_Clip(self.clip, self.wav))
+                if self.wav is not None:
+                    self.wav.finish()
+                self.clip, self.wav, self.received, self.filled = None, None, 0, 0
+                self.clips_cut += 1
+
+    def _start_clip(self) -> None:
+        # float64 clips start at zero: a pass clamps the whole clip, its unfilled samples too
+        self.clip = np.empty(self.canonical_samples, "<i2") if self.step else np.zeros(self.canonical_samples)
+        if self.archive_dir is not None:
+            self.wav = _ArchiveWav(self.archive_dir, f"device{self.device_id}_clip{self.clips_cut:04d}",
+                                   self.sample_rate, self.clip_samples)
+
+    def _resample(self, piece: np.ndarray) -> None:
+        """Compute the clip's samples at CANONICAL_RATE that ``piece``, its next
+        source samples, settles: those of ``resample_linear`` of the whole
+        clip's ``AudioClip.from_pcm16``, bit for bit, its edge-hold included."""
+        a, b = self.received, self.received + len(piece)
+        if self.step:  # every k-th sample, as decimate_pcm16 takes them
+            k = self.step
+            first, end = -(-a // k), min(-(-b // k), self.canonical_samples)
+            # a memoryview copy keeps the GIL, where a numpy one hands it to a thread in
+            # its MFCC pass and then waits to get it back: about 13% fewer ingest_burst clips/s
+            memoryview(self.clip)[first:end] = memoryview(piece)[first * k - a :: k][: max(end - first, 0)]
+        else:
+            # np.interp at the clip's positions j × rate / CANONICAL_RATE from this piece and
+            # the sample before it: a position reads the two knots around it alone, so each
+            # value is that of one call over the whole clip. A position past this piece waits
+            # for the next one, unless the clip ends here: then it holds the last sample.
+            ratio = self.sample_rate / CANONICAL_RATE
+            ends = b == self.clip_samples
+            end = self.canonical_samples if ends else min(int((b - 1) / ratio) + 2, self.canonical_samples)
+            positions = np.arange(self.filled, end) * ratio
+            if not ends:
+                positions = positions[: np.searchsorted(positions, b - 1, side="right")]
+            knots = np.concatenate(([self.last], piece)) if a else piece
+            end = self.filled + len(positions)
+            self.clip[self.filled : end] = np.interp(positions, np.arange(b - len(knots), b),
+                                                     pcm16_to_float(knots))
+            self.last = int(piece[-1])
+        self.filled = end
+
+    def close(self) -> int:
+        """End the session: remove the WAV of the clip being filled, and return
+        the source samples of that clip, which no record will score."""
+        if self.wav is not None:
+            self.wav.discard()
+        return self.received
 
 
 class _Stats:
@@ -257,9 +359,14 @@ class IngestServer:
         keep_malloc_heap()
         (self._graph, self._kind, self._feature_config, self._stats_norm,
          self._checkpoint_id) = load_model(checkpoint_path)
+        clip = segment_samples(CANONICAL_SECONDS, CANONICAL_RATE)
+        rows, span = self._feature_config.rows(clip), self._feature_config.span(HEAD_ROWS)
         # the LSTM steps a head pass settles (31 of 39 for cnn_lstm at the defaults), or None
-        self._head_steps = self._graph.head_steps(
-            HEAD_ROWS, self._feature_config.rows(segment_samples(CANONICAL_SECONDS, CANONICAL_RATE)))
+        self._head_steps = self._graph.head_steps(HEAD_ROWS, rows)
+        # the samples a clip's head pass waits for (66,048 at the defaults), or None when each
+        # clip takes one pass: when a pass would compute under 2 rows (a one-row piece's
+        # bits may differ from the whole clip's), or when the span is a whole clip
+        self._head_samples = span if 2 <= HEAD_ROWS <= rows - 2 and span < clip else None
 
         try:
             with open(self.store_path, "a", encoding="utf-8"):
@@ -343,7 +450,7 @@ class IngestServer:
 
     def _serve(self, conn: socket.socket) -> None:
         """Read one device's frames, classifying and storing each clip, until the stream ends."""
-        session = _DeviceSession(self._feature_config)
+        session = _DeviceSession(self._head_samples, self.archive_dir)
         stream = _FrameDeadlineReader(conn)
         try:
             while True:
@@ -366,13 +473,12 @@ class IngestServer:
                 except OSError:  # TimeoutError at the frame's deadline, or a reset
                     self.stats.bump("connection_errors")
                     break
-                for clip_pcm in clips:
-                    self.process_clip(session, clip_pcm)
-                if (session.head_due is not None and len(session.pending) >= session.head_due
-                        and stream.idle()):
+                for clip in clips:
+                    self.process_clip(session, clip)
+                if session.head_due is not None and session.filled >= session.head_due and stream.idle():
                     self.run_head_pass(session)
         finally:
-            self.stats.bump("dropped_samples", len(session.pending) // 2)
+            self.stats.bump("dropped_samples", session.close())
             conn.close()
             with self._open_changed:
                 self._open.discard(conn)
@@ -380,11 +486,16 @@ class IngestServer:
 
     # -- classification path -------------------------------------------------
 
-    def featurize_pcm(self, pcm: np.ndarray, sample_rate: int, rows: slice = slice(None)) -> np.ndarray:
-        """MFCC rows ``rows`` of the [T, n_mfcc] of int16 samples resampled to the canonical rate."""
-        pcm, sample_rate = decimate_pcm16(pcm, sample_rate, CANONICAL_RATE)
-        clip = resample_linear(AudioClip.from_pcm16(pcm, sample_rate), CANONICAL_RATE)
-        return mfcc_frames(clip, self._feature_config, rows).values
+    def featurize_pcm(self, clip: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
+        """MFCC rows ``rows`` of the [T, n_mfcc] of a clip at the canonical rate: int16
+        samples, of which only those the rows read are converted, or float64 ones."""
+        if clip.dtype == np.float64:
+            audio = AudioClip(clip, CANONICAL_RATE)
+        else:
+            audio = AudioClip.from_pcm16(clip, CANONICAL_RATE, self._feature_config.reads(rows, len(clip)))
+        # at the canonical rate resample_linear returns the clip as it is; the call stays
+        # while perfbench's traced ingest runs time it as audio.resample_linear
+        return mfcc_frames(resample_linear(audio, CANONICAL_RATE), self._feature_config, rows).values
 
     def score_rows(self, rows: np.ndarray, head: HeadState | None = None) -> tuple[str, float]:
         """Label and P(infested) for one clip's MFCC rows, its model resumed from ``head`` if given."""
@@ -400,8 +511,12 @@ class IngestServer:
                                     self._head_steps)
 
     def classify_pcm(self, pcm: np.ndarray, sample_rate: int) -> tuple[str, float]:
-        """Label and P(infested) for one clip of int16 samples, from one pass over the whole clip."""
-        return self.score_rows(self.featurize_pcm(pcm, sample_rate))
+        """Label and P(infested) for one clip of int16 samples at any rate, from one pass over
+        the whole clip resampled at once: the reference that streamed clips equal bit for bit."""
+        pcm, sample_rate = decimate_pcm16(pcm, sample_rate, CANONICAL_RATE)
+        if sample_rate != CANONICAL_RATE:
+            pcm = resample_linear(AudioClip.from_pcm16(pcm, sample_rate), CANONICAL_RATE).samples
+        return self.score_rows(self.featurize_pcm(pcm))
 
     def run_head_pass(self, session: _DeviceSession) -> None:
         """Compute the head rows of the clip the session is filling, whose head span has arrived,
@@ -409,10 +524,10 @@ class IngestServer:
 
         A failure is logged and leaves neither, so the clip takes one pass at its end.
         """
-        span = session.take_head_span()
+        session.head_due = None
         try:
             with self._classifying:
-                rows = self.featurize_pcm(span, session.sample_rate, slice(HEAD_ROWS))
+                rows = self.featurize_pcm(session.clip, slice(HEAD_ROWS))
                 state = self.score_head(rows)
         except Exception:
             log.exception("head pass failed for device %s; its clip takes one pass at its end",
@@ -420,18 +535,17 @@ class IngestServer:
             return
         session.head = rows, state
 
-    def process_clip(self, session: _DeviceSession, clip_pcm: np.ndarray) -> None:
+    def process_clip(self, session: _DeviceSession, clip: _Clip) -> None:
         start = session.stream_position
-        session.stream_position += len(clip_pcm)
-        index = start // len(clip_pcm)
+        session.stream_position += session.clip_samples
+        index = start // session.clip_samples
         head_rows, head_state = session.take_head() or (None, None)
         try:  # a non-finite P(infested) fails in DetectionRecord: counted here too
             with self._classifying:
                 if head_rows is None:
-                    rows = self.featurize_pcm(clip_pcm, session.sample_rate)
+                    rows = self.featurize_pcm(clip.samples)
                 else:
-                    rows = np.concatenate([head_rows, self.featurize_pcm(clip_pcm, session.sample_rate,
-                                                                         slice(HEAD_ROWS, None))])
+                    rows = np.concatenate([head_rows, self.featurize_pcm(clip.samples, slice(HEAD_ROWS, None))])
                 label, p_infested = self.score_rows(rows, head_state)
             if head_state is not None:
                 self.stats.bump("head_scored_clips")
@@ -439,7 +553,7 @@ class IngestServer:
                 timestamp=datetime.now(timezone.utc).isoformat(),
                 device_id=session.device_id,
                 clip_start=start,
-                clip_length=len(clip_pcm),
+                clip_length=session.clip_samples,
                 label=label,
                 p_infested=p_infested,
                 checkpoint_id=self._checkpoint_id,
@@ -447,15 +561,18 @@ class IngestServer:
         except Exception:
             self.stats.bump("classify_errors")
             log.exception("classification failed for device %s clip %d", session.device_id, index)
+            if clip.wav is not None:
+                clip.wav.discard()
             return
         try:
-            if self.archive_dir:
-                write_wav_pcm16(_claim_wav_path(self.archive_dir, f"device{session.device_id}_clip{index:04d}"),
-                                clip_pcm, session.sample_rate)
+            if clip.wav is not None and clip.wav.error is not None:
+                raise clip.wav.error
             with self._store_lock:
                 append_records(self.store_path, [record])
         except OSError:
             self.stats.bump("store_errors")
             log.exception("storing failed for device %s clip %d", session.device_id, index)
+            if clip.wav is not None:
+                clip.wav.discard()
             return
         self.stats.bump("records_written")

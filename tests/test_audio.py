@@ -175,6 +175,8 @@ def test_a_clip_from_pcm16_is_the_clamped_clip_bit_for_bit(rate):
     clip = AudioClip.from_pcm16(pcm, rate)
     assert clip.samples.tobytes() == AudioClip(pcm16_to_float(pcm), rate).samples.tobytes()
     assert clip.sample_rate == rate
+    part = slice(1000, 40_000)  # converted alone: the others are left unset
+    assert AudioClip.from_pcm16(pcm, rate, part).samples[part].tobytes() == clip.samples[part].tobytes()
     with pytest.raises(ValueError):
         clip.samples[0] = 0.5
     with pytest.raises(ValueError):

@@ -343,16 +343,18 @@ def test_evaluate_rejects_a_dump_extracted_with_another_feature_config(capsys, s
     ("serve", ModelKind.DNN_MEAN, {"feature_config": {"bogus": 1}}),
     ("evaluate", ModelKind.CNN, {"feature_stats": {"mean": [0.0] * 40}}),  # no "std"
 ])
-def test_checkpoint_with_a_malformed_header_is_data_error(capsys, small_pipeline, tmp_path,
+def test_checkpoint_with_a_malformed_header_is_data_error(capsys, monkeypatch, small_pipeline, tmp_path,
                                                          command, kind, fault):
     _, feats = small_pipeline
+    monkeypatch.setattr(IngestServer, "run", IngestServer.stop)  # a server that starts returns at once
     ckpt = tmp_path / "bad.ckpt"
     save_checkpoint(ckpt, build_model(kind, seed=0), kind.value, seed=0, **fault)
     flags = {"evaluate": ["--features", str(feats)],
              "serve": ["--store", str(tmp_path / "s.jsonl"), "--port", "0"]}[command]
-    code, _, err = run_cli(capsys, command, "--checkpoint", str(ckpt), *flags)
+    code, out, err = run_cli(capsys, command, "--checkpoint", str(ckpt), *flags)
     assert code == 2
     assert str(ckpt) in err and "bad header" in err
+    assert "listening" not in out  # serve stopped before it bound
 
 
 @pytest.mark.parametrize("command, stats, fault", [

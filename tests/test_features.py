@@ -11,7 +11,7 @@ import pytest
 
 import oracles
 import woodwatch
-from woodwatch.audio import CANONICAL_RATE, AudioClip, resample_linear
+from woodwatch.audio import CANONICAL_RATE, AudioClip, pcm16_to_float, resample_linear
 from woodwatch.errors import InvalidDatasetError
 from woodwatch.features import (
     FeatureConfig,
@@ -250,20 +250,24 @@ SPLIT_CONFIGS = {
 @pytest.mark.parametrize("rate", [16_000, 32_000, 48_000, 96_000, 192_000])
 @pytest.mark.parametrize("config", SPLIT_CONFIGS)
 def test_rows_in_two_pieces_are_the_whole_clip_rows_bit_for_bit(config, rate):
-    """Rows [0, h) from the samples they read and rows [h, T) from the whole clip, as a
-    streaming server computes them, for pieces of at least 2 rows."""
+    """Rows [0, h) and rows [h, T), each from the canonical-rate samples it reads
+    (``FeatureConfig.reads``) alone, as a streaming server computes them, for pieces
+    of at least 2 rows."""
     cfg = SPLIT_CONFIGS[config]
     pcm = (np.random.default_rng([rate, cfg.hop]).standard_normal(5 * rate) * 3000).astype("<i2")
-    step = rate // CANONICAL_RATE
+    canonical = pcm[:: rate // CANONICAL_RATE]  # the resampled clip's samples, at these rates
 
-    def rows(pcm, rows=slice(None)):
-        return mfcc_frames(resample_linear(AudioClip.from_pcm16(pcm, rate), CANONICAL_RATE), cfg, rows).values
+    def rows(rows):
+        part = cfg.reads(rows, len(canonical))
+        samples = np.full(len(canonical), np.nan)  # a sample read outside the part fails MfccMatrix
+        samples[part] = pcm16_to_float(canonical[part])
+        return mfcc_frames(AudioClip(samples, CANONICAL_RATE), cfg, rows).values
 
-    whole = rows(pcm)
+    whole = mfcc_frames(resample_linear(AudioClip.from_pcm16(pcm, rate), CANONICAL_RATE), cfg).values
     assert len(whole) == cfg.rows(5 * CANONICAL_RATE)
     for h in (2, 3, 64, 128, len(whole) - 3, len(whole) - 2):
-        head = rows(pcm[: step * cfg.span(h)], slice(h))
-        assert np.array_equal(np.concatenate([head, rows(pcm, slice(h, None))]), whole), h
+        assert cfg.reads(slice(h), len(canonical)) == slice(0, min(cfg.span(h), len(canonical)))
+        assert np.array_equal(np.concatenate([rows(slice(h)), rows(slice(h, None))]), whole), h
 
 
 def test_the_package_loads_no_third_party_module_but_numpy():

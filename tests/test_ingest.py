@@ -12,6 +12,7 @@ import threading
 import time
 import tracemalloc
 import types
+import wave
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ import woodwatch
 from conftest import wait_for
 from woodwatch import allocator
 from woodwatch.audio import (CANONICAL_RATE, AudioClip, float_to_pcm16, pcm16_to_float, read_wav_pcm16,
-                             resample_linear, save_wav)
+                             resample_linear, save_wav, write_wav_pcm16)
 from woodwatch.errors import CheckpointError, ServerStartupError, TransportError
 from woodwatch.features import FeatureConfig, apply_standardize, mfcc_frames
 from woodwatch.ingest import (
@@ -142,7 +143,18 @@ def reassembly_oracle(frames, clip_samples):
     return [stream[k * clip_samples : (k + 1) * clip_samples] for k in range(n_clips)], counts
 
 
-@pytest.mark.parametrize("rate, clip_seconds", [(8000, 0.00123), (16000, 0.0125), (44100, 0.01)])
+def canonical(pcm, rate):
+    """int16 samples at ``rate`` taken to the canonical rate in one call over them all, as float64."""
+    return resample_linear(AudioClip.from_pcm16(pcm, rate), CANONICAL_RATE).samples
+
+
+def as_float(samples):
+    """A session's clip as float64: its int16 samples converted, or its float64 ones."""
+    return pcm16_to_float(samples) if samples.dtype == np.int16 else samples
+
+
+@pytest.mark.parametrize("rate, clip_seconds", [(8000, 0.00123), (16000, 0.0125), (44100, 0.01),
+                                                (48000, 0.0101), (12345, 0.0123)])
 def test_session_reassembly_matches_the_oracle(rate, clip_seconds, monkeypatch):
     monkeypatch.setattr(server_module, "CANONICAL_SECONDS", clip_seconds)  # windows of a few frames
     rng = np.random.default_rng(rate)
@@ -156,7 +168,7 @@ def test_session_reassembly_matches_the_oracle(rate, clip_seconds, monkeypatch):
         if roll < 0.1 and seq > origin:
             frames.append(DeviceFrame(3, int(rng.integers(origin, seq)), rate, payload))  # duplicate
             continue
-        if roll < 0.15:
+        if roll < 0.15 and frames:  # not first: the first frame names the connection's device
             frames.append(DeviceFrame(4, seq, rate, payload))  # another device: refused
             continue
         missing = int(rng.integers(1, 3)) if roll < 0.3 else 0
@@ -169,11 +181,12 @@ def test_session_reassembly_matches_the_oracle(rate, clip_seconds, monkeypatch):
     clips = [clip for frame in frames for clip in session.accept(frame, stats)]
     want_clips, want_counts = reassembly_oracle(frames, clip_samples)
     assert len(clips) == len(want_clips) > 10
-    assert all(np.array_equal(got, want) for got, want in zip(clips, want_clips))
+    # each clip is the oracle's clip resampled whole, bit for bit
+    assert all(np.array_equal(as_float(got.samples), canonical(want, rate)) for got, want in zip(clips, want_clips))
     counts = stats.snapshot()
     assert {key: counts[key] for key in want_counts} == want_counts
     assert want_counts["sequence_gaps"] > 0 and want_counts["duplicate_frames"] > 0
-    assert len(session.pending) < 2 * clip_samples  # less than one clip held between frames
+    assert session.close() < clip_samples  # less than one clip held between frames
 
 
 @pytest.mark.parametrize("origin", [10, 100])
@@ -183,8 +196,34 @@ def test_a_session_counts_its_sequence_from_its_first_frame(origin):
     frames = [DeviceFrame(3, seq, 16_000, pcm[start : start + 2500].tobytes())
               for seq, start in enumerate(range(0, len(pcm), 2500), start=origin)]
     clips = [clip for frame in frames for clip in session.accept(frame, stats)]
-    assert len(clips) == 1 and np.array_equal(clips[0], pcm)
-    assert not session.pending and stats.snapshot()["sequence_gaps"] == 0
+    assert len(clips) == 1 and np.array_equal(clips[0].samples, pcm)
+    assert session.close() == 0 and stats.snapshot()["sequence_gaps"] == 0
+
+
+@pytest.mark.parametrize("rate, clip_bytes", [(192_000, 2 * 80_000), (191_999, 8 * 80_000)])
+def test_a_session_holds_one_canonical_clip(rate, clip_bytes):
+    """A connection's memory bound: between frames one clip at the canonical rate
+    (int16 at k × 16 kHz, float64 otherwise), whatever the stream's rate; while it
+    folds a frame in, that frame, one gap fill and the clip just cut besides."""
+    frame_samples = 2500
+    pcm = (np.random.default_rng(rate).standard_normal(3 * 5 * rate + 1000) * 3000).astype("<i2")
+    frames = [DeviceFrame(3, seq, rate, pcm[start : start + frame_samples].tobytes())
+              for seq, start in enumerate(range(0, len(pcm), frame_samples))]
+    del frames[100]  # a gap fill
+    session, stats = server_module._DeviceSession(), server_module._Stats()
+    frame_bytes = 8 * frame_samples  # a frame's samples as float64, the largest form a piece takes
+    held = cut = 0
+    tracemalloc.start()
+    try:
+        for frame in frames:
+            cut += len(session.accept(frame, stats))  # the clips cut go to their passes
+            held = max(held, tracemalloc.get_traced_memory()[0])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cut == 3 and stats.snapshot()["sequence_gaps"] == 1
+    assert held <= clip_bytes + 16 * 1024, held  # and numpy's caches of a first call
+    assert peak <= 2 * clip_bytes + 4 * frame_bytes, peak  # the old bytearray held up to 1.92 MB
 
 
 # -- server fixtures -----------------------------------------------------------------
@@ -573,7 +612,7 @@ def test_run_serves_until_ctrl_c_then_stops(served_checkpoint, tmp_path):
 
 
 def test_store_failure_is_counted_not_fatal(running_server, monkeypatch):
-    server, store, _ = running_server
+    server, store, archive = running_server
     real_append = server_module.append_records
     calls = []
 
@@ -593,10 +632,31 @@ def test_store_failure_is_counted_not_fatal(running_server, monkeypatch):
     records, corrupt = load_store(store)
     assert corrupt == 0
     assert [r.clip_start for r in records] == [80000]
+    assert [path.name for path in archive.iterdir()] == ["device7_clip0001.wav"]  # archived: recorded
+
+
+def test_a_failing_archive_write_is_a_store_error_and_the_connection_goes_on(running_server, monkeypatch):
+    server, store, archive = running_server
+    write = wave.Wave_write.writeframesraw
+
+    def first_clip_on_a_full_disk(self, data):
+        if self._file.name.endswith("device8_clip0000.wav"):
+            raise OSError(28, "No space left on device")
+        write(self, data)
+
+    monkeypatch.setattr(wave.Wave_write, "writeframesraw", first_clip_on_a_full_disk)
+    clip = gen_clean_clip(SynthConfig(duration_s=10.0, snr_db=12.0), seed=525)  # two windows
+    sent = simulate_device("127.0.0.1", server.port, clip, device_id=8)
+    assert wait_for(lambda: server.stats.snapshot()["records_written"] == 1)
+    stats = server.stats.snapshot()
+    assert stats["store_errors"] == 1 and stats["classify_errors"] == 0
+    assert stats["frames_ok"] == sent and stats["connection_errors"] == stats["protocol_errors"] == 0
+    assert [r.clip_start for r in load_store(store)[0]] == [80000]
+    assert [path.name for path in archive.iterdir()] == ["device8_clip0001.wav"]
 
 
 def test_unbuildable_record_is_a_classify_error(running_server, monkeypatch, capfd):
-    server, store, _ = running_server
+    server, store, archive = running_server
     real_score = server.score_rows
     calls = []
 
@@ -611,6 +671,7 @@ def test_unbuildable_record_is_a_classify_error(running_server, monkeypatch, cap
     stats = server.stats.snapshot()
     assert stats["classify_errors"] == 1 and stats["frames_ok"] == sent
     assert [r.clip_start for r in load_store(store)[0]] == [80000]
+    assert [path.name for path in archive.iterdir()] == ["device21_clip0001.wav"]  # archived: classified
     assert "Traceback" not in capfd.readouterr().err
 
 
@@ -680,13 +741,13 @@ def test_at_most_max_classifying_clips_are_classified_at_once(served_checkpoint,
     lock = threading.Lock()
     featurize = IngestServer.featurize_pcm  # each MFCC pass, head, tail or whole clip
 
-    def counted(self, pcm, sample_rate):
+    def counted(self, clip, rows=slice(None)):
         with lock:
             running[0] += 1
             most[0] = max(most[0], running[0])
         time.sleep(0.2)  # long enough for every handler to get here
         try:
-            return featurize(self, pcm, sample_rate)
+            return featurize(self, clip, rows)
         finally:
             with lock:
                 running[0] -= 1
@@ -1019,15 +1080,15 @@ def offline_rows(pcm, rate, cfg=FeatureConfig()):
 
 @pytest.fixture()
 def served_passes(running_server, monkeypatch):
-    """The samples and the row range of each MFCC pass of the running server, and the rows
-    of each clip it scores."""
+    """The row range of each MFCC pass of the running server, and the rows of each clip it scores."""
     server = running_server[0]
     spans, scored = [], []
     featurize, score = server.featurize_pcm, server.score_rows
 
-    def featurize_logged(pcm, sample_rate, rows=slice(None)):
-        spans.append((len(pcm), rows))
-        return featurize(pcm, sample_rate, rows)
+    def featurize_logged(clip, rows=slice(None)):
+        assert len(clip) == 80_000  # a whole clip at the canonical rate, whatever the stream's rate
+        spans.append(rows)
+        return featurize(clip, rows)
 
     def score_logged(rows, head=None):
         scored.append(rows)
@@ -1072,44 +1133,52 @@ HEAD_FRAMES = -(-HEAD_SPAN // 2500)  # the 2,500-sample frames that bring a 16 k
 HEAD, TAIL, WHOLE = slice(server_module.HEAD_ROWS), slice(server_module.HEAD_ROWS, None), slice(None)
 
 
-@pytest.mark.parametrize("rate, spans", [
-    (16_000, [(HEAD_SPAN, HEAD), (80_000, TAIL)]),
-    (48_000, [(3 * HEAD_SPAN, HEAD), (240_000, TAIL)]),
-    (44_100, [(5 * 44_100, WHOLE)]),  # not a multiple of 16 kHz: one pass at the clip's end
-    (96_000, [(6 * HEAD_SPAN, HEAD), (480_000, TAIL)]),
-    (192_000, [(12 * HEAD_SPAN, HEAD), (960_000, TAIL)]),
-    (32_000, [(2 * HEAD_SPAN, HEAD), (160_000, TAIL)]),
-])
-def test_a_served_clip_is_scored_on_the_whole_clip_rows(running_server, served_passes, head_passes,
-                                                        served_checkpoint, rate, spans):
-    server, store, _ = running_server
-    pcm = (np.random.default_rng(rate).standard_normal(5 * rate) * 3000).astype("<i2")
-    pauses = [-(-spans[0][0] // 2500)] if len(spans) == 2 else []
+@pytest.mark.parametrize("frame_samples", [997, 2500])
+@pytest.mark.parametrize("rate", [8_000, 16_000, 32_000, 44_100, 48_000, 96_000, 192_000, 191_999])
+def test_streamed_clips_are_scored_and_archived_as_the_clips_sent(running_server, served_passes, head_passes,
+                                                                  tmp_path, rate, frame_samples):
+    server, store, archive = running_server
+    clip_samples = 5 * rate
+    pcm = (np.random.default_rng(rate + frame_samples).standard_normal(2 * clip_samples + 3000) * 3000).astype("<i2")
+    frames = frames_of(41, pcm, rate, frame_samples)
+    del frames[2]  # lost inside the first clip's head span: zero-filled
+    sent = pcm.copy()
+    sent[2 * frame_samples : 3 * frame_samples] = 0
+    # the frames that bring each clip's head span, less the lost one; at 997 samples
+    # a frame spans the boundary of the two clips
+    head_source = HEAD_SPAN * rate // CANONICAL_RATE + 2
+    pauses = [-(-(k * clip_samples + head_source) // frame_samples) - 1 for k in (0, 1)]
     with socket.create_connection(("127.0.0.1", server.port)) as conn:
-        send_pausing_for_head_passes(conn, frames_of(41, pcm, rate), pauses, head_passes)
-    assert wait_for(lambda: server.stats.snapshot()["records_written"] == 1)
-    assert served_passes[0] == spans
-    [rows] = served_passes[1]
-    assert np.array_equal(rows, offline_rows(pcm, rate))
-    graph, _, config, stats, _ = load_model(served_checkpoint)
-    probs, _ = predict(graph, apply_standardize(offline_rows(pcm, rate, config), stats)[None])
-    assert load_store(store)[0][0].p_infested == float(probs[0, 1])
-    assert server.stats.snapshot()["head_scored_clips"] == (len(spans) == 2)  # its LSTM resumed
+        send_pausing_for_head_passes(conn, frames, pauses, head_passes)
+    assert wait_for(lambda: server.stats.snapshot()["dropped_samples"] == len(pcm) - 2 * clip_samples)
+    stats = server.stats.snapshot()
+    assert stats["records_written"] == stats["head_scored_clips"] == 2  # each LSTM resumed from its head pass
+    assert stats["sequence_gaps"] == 1
+    assert served_passes[0] == [HEAD, TAIL, HEAD, TAIL]
+    records = load_store(store)[0]
+    assert [(r.clip_start, r.clip_length) for r in records] == [(0, clip_samples), (clip_samples, clip_samples)]
+    wanted = [sent[k * clip_samples : (k + 1) * clip_samples] for k in (0, 1)]
+    for k, clip in enumerate(wanted):
+        assert np.array_equal(served_passes[1][k], offline_rows(clip, rate)), k
+        assert records[k].p_infested == server.classify_pcm(clip, rate)[1], k
+        write_wav_pcm16(tmp_path / "sent.wav", clip, rate)
+        assert (archive / f"device41_clip{k:04d}.wav").read_bytes() == (tmp_path / "sent.wav").read_bytes(), k
+    assert sorted(path.name for path in archive.iterdir()) == ["device41_clip0000.wav", "device41_clip0001.wav"]
 
 
 def test_a_config_that_would_leave_a_one_row_pass_takes_one_pass(served_checkpoint, tmp_path):
     cfg = FeatureConfig(fft_size=1024, hop=625)  # 129 rows, and rows [0, 128) read 79,887 samples
     assert cfg.rows(80_000) == server_module.HEAD_ROWS + 1 and cfg.span(server_module.HEAD_ROWS) < 80_000
-    assert server_module._head_span(cfg, 16_000) is None  # the clip's end would compute one row
     checkpoint = load_checkpoint(served_checkpoint)
     save_checkpoint(tmp_path / "hop625.ckpt", checkpoint.graph, checkpoint.kind, checkpoint.seed,
                     feature_stats=checkpoint.feature_stats, feature_config=cfg.to_dict())
     server = IngestServer(0, tmp_path / "hop625.ckpt", tmp_path / "store.jsonl")
+    assert server._head_samples is None  # the clip's end would compute one row
     passes, featurize = [], server.featurize_pcm
 
-    def featurize_logged(pcm, sample_rate, rows=slice(None)):
+    def featurize_logged(clip, rows=slice(None)):
         passes.append(rows)
-        return featurize(pcm, sample_rate, rows)
+        return featurize(clip, rows)
 
     server.featurize_pcm = featurize_logged
     server.start()
@@ -1147,7 +1216,7 @@ def test_a_clip_whose_rest_waits_behind_its_head_span_takes_one_pass(running_ser
     with socket.create_connection(("127.0.0.1", server.port)) as conn:
         conn.sendall(b"".join(frames_of(46, pcm)))
     assert wait_for(lambda: server.stats.snapshot()["records_written"] == 1)
-    assert served_passes[0] == [(80_000, WHOLE)]
+    assert served_passes[0] == [WHOLE]
     [rows] = served_passes[1]
     assert np.array_equal(rows, offline_rows(pcm, 16_000))
     graph, _, config, stats, _ = load_model(served_checkpoint)
@@ -1171,20 +1240,6 @@ def test_a_reader_is_idle_only_when_no_received_byte_waits():
         assert not stream.idle()  # the stream's end waits to be read
 
 
-def test_a_gap_filled_inside_the_head_span_is_in_the_head_rows(running_server, served_passes, head_passes):
-    server, _, _ = running_server
-    pcm = (np.random.default_rng(518).standard_normal(80_000) * 3000).astype("<i2")
-    frames = [frame for seq, frame in enumerate(frames_of(42, pcm)) if seq != 3]
-    with socket.create_connection(("127.0.0.1", server.port)) as conn:
-        send_pausing_for_head_passes(conn, frames, [HEAD_FRAMES - 1], head_passes)
-    assert wait_for(lambda: server.stats.snapshot()["records_written"] == 1)
-    assert server.stats.snapshot()["sequence_gaps"] == 1
-    zero_filled = pcm.copy()
-    zero_filled[3 * 2500 : 4 * 2500] = 0
-    assert served_passes[0] == [(HEAD_SPAN, HEAD), (80_000, TAIL)]
-    assert np.array_equal(served_passes[1][0], offline_rows(zero_filled, 16_000))
-
-
 def test_one_frame_completes_a_clip_and_starts_the_next(running_server, served_passes, head_passes):
     server, store, _ = running_server
     pcm = (np.random.default_rng(519).standard_normal(300_000) * 3000).astype("<i2")
@@ -1194,8 +1249,7 @@ def test_one_frame_completes_a_clip_and_starts_the_next(running_server, served_p
     assert server.stats.snapshot()["records_written"] == 3
     # frame 1 ends clip 0 and brings clip 1's head span; clip 2's head span was
     # not in before its last frame, so it takes one pass
-    assert served_passes[0] == [(HEAD_SPAN, HEAD), (80_000, TAIL), (HEAD_SPAN, HEAD), (80_000, TAIL),
-                                (80_000, WHOLE)]
+    assert served_passes[0] == [HEAD, TAIL, HEAD, TAIL, WHOLE]
     for k, rows in enumerate(served_passes[1]):
         assert np.array_equal(rows, offline_rows(pcm[k * 80_000 : (k + 1) * 80_000], 16_000)), k
     assert [r.clip_start for r in load_store(store)[0]] == [0, 80_000, 160_000]
@@ -1210,7 +1264,7 @@ def test_a_connection_that_ends_after_its_head_pass_writes_no_record(running_ser
     expected = dict.fromkeys(server.stats.snapshot(), 0)
     expected.update(frames_ok=27, dropped_samples=27 * 2500)
     assert wait_for(lambda: server.stats.snapshot() == expected), server.stats.snapshot()
-    assert served_passes == ([(HEAD_SPAN, HEAD)], [])
+    assert served_passes == ([HEAD], [])
     assert load_store(store)[0] == []
 
 
@@ -1218,18 +1272,18 @@ def test_a_failed_head_pass_leaves_its_clip_one_pass_at_the_end(running_server, 
     server, store, _ = running_server
     featurize, spans = server.featurize_pcm, []
 
-    def fail_first(pcm, sample_rate, rows=slice(None)):
-        spans.append((len(pcm), rows))
+    def fail_first(clip, rows=slice(None)):
+        spans.append(rows)
         if len(spans) == 1:
             raise MemoryError("no room for the head pass")
-        return featurize(pcm, sample_rate, rows)
+        return featurize(clip, rows)
 
     monkeypatch.setattr(server, "featurize_pcm", fail_first)
     pcm = (np.random.default_rng(520).standard_normal(80_000) * 3000).astype("<i2")
     with socket.create_connection(("127.0.0.1", server.port)) as conn:
         send_pausing_for_head_passes(conn, frames_of(45, pcm), [HEAD_FRAMES], head_passes)
     assert wait_for(lambda: server.stats.snapshot()["records_written"] == 1)
-    assert spans == [(HEAD_SPAN, HEAD), (80_000, WHOLE)] and server.stats.snapshot()["classify_errors"] == 0
+    assert spans == [HEAD, WHOLE] and server.stats.snapshot()["classify_errors"] == 0
     assert [r.device_id for r in load_store(store)[0]] == [45]
 
 
@@ -1250,7 +1304,7 @@ def test_a_head_pass_whose_model_part_fails_leaves_its_clip_one_pass_at_the_end(
         send_pausing_for_head_passes(conn, frames_of(47, pcm), [HEAD_FRAMES], head_passes)
     assert wait_for(lambda: server.stats.snapshot()["records_written"] == 1)
     assert calls == [server_module.HEAD_ROWS]
-    assert served_passes[0] == [(HEAD_SPAN, HEAD), (80_000, WHOLE)]  # the head rows went with the state
+    assert served_passes[0] == [HEAD, WHOLE]  # the head rows went with the state
     stats_now = server.stats.snapshot()
     assert stats_now["classify_errors"] == 0 and stats_now["head_scored_clips"] == 0
     graph, _, config, stats, _ = load_model(served_checkpoint)
