@@ -91,9 +91,10 @@ def _cmd_extract(args) -> int:
     codes = {label.text: int(label) for label in audio.ClipLabel}
     ids, labels, matrices = [], [], []
     for wav_path in wavs:
-        pcm, rate = audio.decimate_pcm16(*audio.read_wav_pcm16(wav_path), audio.CANONICAL_RATE)
-        clip = audio.resample_linear(audio.AudioClip.from_pcm16(pcm, rate), audio.CANONICAL_RATE)
-        segments = audio.segment_clip(clip, audio.CANONICAL_SECONDS)
+        pcm, rate = audio.read_wav_pcm16(wav_path)
+        fill = audio.CanonicalFill(rate, len(pcm))
+        fill.add(pcm)
+        segments = audio.segment_clip(fill.clip(), audio.CANONICAL_SECONDS)
         label = codes.get(wav_path.parent.name, -1)
         for k, segment in enumerate(segments):
             suffix = f"#{k}" if len(segments) > 1 else ""

@@ -12,15 +12,14 @@ connection, so one frame cannot make the server allocate without bound. So
 is a first frame whose sample rate lies outside 8-192 kHz: at an absurd rate
 a clip never fills, or one frame makes thousands of clips. Each clip is
 CANONICAL_SECONDS of samples, the window ``extract`` cuts for training.
-A connection fills one clip at CANONICAL_RATE, allocated at its first sample
-and handed to its passes uncopied: each piece of a frame is resampled once as
-it arrives, every k-th int16 sample at k times that rate and interpolation at
-any other, bit-equal to resampling the whole clip at once. Past arrival the
-source rate no longer matters. A clip's MFCC rows come from two passes: the
-head pass computes rows [0, HEAD_ROWS) from their span (``FeatureConfig.span``)
-once it is in and the connection has no received byte waiting, and once the
-clip is full the tail pass computes rows [HEAD_ROWS, T), converting only the
-samples they read (``FeatureConfig.reads``). While bytes wait, the rest of the
+A connection fills one clip at CANONICAL_RATE as frames arrive
+(``audio.CanonicalFill``), allocated at its first sample and handed to its
+passes uncopied; past arrival the source rate no longer matters. A clip's MFCC
+rows come from two passes: the head pass computes rows [0, HEAD_ROWS) from
+their span (``FeatureConfig.span``) once it is in and the connection has no
+received byte waiting, and once the clip is full the tail pass computes rows
+[HEAD_ROWS, T), converting only the samples they read
+(``FeatureConfig.reads``). While bytes wait, the rest of the
 clip may be in already, and then a head pass could not make the record
 earlier; so the head pass waits for the first idle moment after its span, and
 a clip that finds none before its last frame takes one pass over the whole
@@ -62,8 +61,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ..allocator import keep_malloc_heap
-from ..audio import (CANONICAL_RATE, CANONICAL_SECONDS, AudioClip, ClipLabel, decimate_pcm16,
-                     pcm16_to_float, resample_linear, segment_samples)
+from ..audio import CANONICAL_RATE, CANONICAL_SECONDS, CanonicalFill, ClipLabel, resample_linear, segment_samples
 from ..errors import IntegrityError, ProtocolError, ServerStartupError, TruncationError
 from ..features import mfcc_frames
 from ..models import load_model, predict, to_model_input
@@ -157,9 +155,9 @@ class _ArchiveWav:
 
 
 class _Clip(NamedTuple):
-    """A complete clip: its samples at CANONICAL_RATE and its archive WAV, if any."""
+    """A complete clip: its fill at CANONICAL_RATE and its archive WAV, if any."""
 
-    samples: np.ndarray
+    fill: CanonicalFill
     wav: _ArchiveWav | None
 
 
@@ -172,15 +170,10 @@ class _DeviceSession:
         self.device_id: int | None = None
         self.sample_rate: int | None = None
         self.clip_samples = 0  # CANONICAL_SECONDS of samples, at the first frame's rate
-        self.canonical_samples = 0  # a clip's samples at CANONICAL_RATE, as resample_linear counts them
-        self.step = 0  # k when the rate is k × CANONICAL_RATE: a clip keeps every k-th sample; 0: it interpolates
         self.next_seq = 0
         self.stream_position = 0  # sample index of the next clip start, from the first frame
         self.clips_cut = 0  # the index of the clip being filled
-        self.clip: np.ndarray | None = None  # the clip being filled, from its first sample
-        self.received = 0  # its source samples in
-        self.filled = 0  # its samples at CANONICAL_RATE that those settle
-        self.last = 0  # its last source sample in: the knot that the next piece interpolates from
+        self.fill: CanonicalFill | None = None  # the clip being filled, from its first sample
         self.wav: _ArchiveWav | None = None
         self.head_samples = self.head_due = head_samples  # canonical samples; None: each clip takes one pass
         self.head: tuple[np.ndarray, HeadState | None] | None = None  # the head pass's rows and model state
@@ -205,9 +198,6 @@ class _DeviceSession:
             self.device_id = frame.device_id
             self.sample_rate = frame.sample_rate
             self.clip_samples = segment_samples(CANONICAL_SECONDS, frame.sample_rate)
-            self.canonical_samples = int(round(self.clip_samples * CANONICAL_RATE / frame.sample_rate))
-            step, remainder = divmod(frame.sample_rate, CANONICAL_RATE)
-            self.step = 0 if remainder else step
             self.next_seq = frame.seq  # a device may resume its numbering on a new connection
         if frame.device_id != self.device_id or frame.sample_rate != self.sample_rate:
             stats.bump("protocol_errors")
@@ -217,10 +207,10 @@ class _DeviceSession:
             return []
         clips: list[_Clip] = []
         if frame.seq > self.next_seq:
-            fill = (frame.seq - self.next_seq) * (len(frame.payload) // 2)
-            if fill > self.clip_samples:
-                raise ProtocolError(f"sequence gap of {fill} samples exceeds one clip")
-            self._fold(np.zeros(fill, dtype="<i2"), clips)
+            gap = (frame.seq - self.next_seq) * (len(frame.payload) // 2)
+            if gap > self.clip_samples:
+                raise ProtocolError(f"sequence gap of {gap} samples exceeds one clip")
+            self._fold(np.zeros(gap, dtype="<i2"), clips)
             stats.bump("sequence_gaps")
         self._fold(np.frombuffer(frame.payload, dtype="<i2"), clips)
         self.next_seq = frame.seq + 1
@@ -230,62 +220,29 @@ class _DeviceSession:
         """Take source samples that follow those in into the clip being filled,
         and each clip they complete into ``clips``."""
         while len(pcm):
-            if self.clip is None:
-                self._start_clip()
-            piece, pcm = pcm[: self.clip_samples - self.received], pcm[self.clip_samples - self.received :]
-            self._resample(piece)
+            if self.fill is None:
+                self.fill = CanonicalFill(self.sample_rate, self.clip_samples)
+                if self.archive_dir is not None:
+                    self.wav = _ArchiveWav(self.archive_dir, f"device{self.device_id}_clip{self.clips_cut:04d}",
+                                           self.sample_rate, self.clip_samples)
+            room = self.clip_samples - self.fill.received
+            piece, pcm = pcm[:room], pcm[room:]
+            self.fill.add(piece)
             if self.wav is not None:
                 self.wav.write(piece)
-            self.received += len(piece)
-            if self.received == self.clip_samples:
-                clips.append(_Clip(self.clip, self.wav))
+            if self.fill.received == self.clip_samples:
+                clips.append(_Clip(self.fill, self.wav))
                 if self.wav is not None:
                     self.wav.finish()
-                self.clip, self.wav, self.received, self.filled = None, None, 0, 0
+                self.fill = self.wav = None
                 self.clips_cut += 1
-
-    def _start_clip(self) -> None:
-        # float64 clips start at zero: a pass clamps the whole clip, its unfilled samples too
-        self.clip = np.empty(self.canonical_samples, "<i2") if self.step else np.zeros(self.canonical_samples)
-        if self.archive_dir is not None:
-            self.wav = _ArchiveWav(self.archive_dir, f"device{self.device_id}_clip{self.clips_cut:04d}",
-                                   self.sample_rate, self.clip_samples)
-
-    def _resample(self, piece: np.ndarray) -> None:
-        """Compute the clip's samples at CANONICAL_RATE that ``piece``, its next
-        source samples, settles: those of ``resample_linear`` of the whole
-        clip's ``AudioClip.from_pcm16``, bit for bit, its edge-hold included."""
-        a, b = self.received, self.received + len(piece)
-        if self.step:  # every k-th sample, as decimate_pcm16 takes them
-            k = self.step
-            first, end = -(-a // k), min(-(-b // k), self.canonical_samples)
-            # a memoryview copy keeps the GIL, where a numpy one hands it to a thread in
-            # its MFCC pass and then waits to get it back: about 13% fewer ingest_burst clips/s
-            memoryview(self.clip)[first:end] = memoryview(piece)[first * k - a :: k][: max(end - first, 0)]
-        else:
-            # np.interp at the clip's positions j × rate / CANONICAL_RATE from this piece and
-            # the sample before it: a position reads the two knots around it alone, so each
-            # value is that of one call over the whole clip. A position past this piece waits
-            # for the next one, unless the clip ends here: then it holds the last sample.
-            ratio = self.sample_rate / CANONICAL_RATE
-            ends = b == self.clip_samples
-            end = self.canonical_samples if ends else min(int((b - 1) / ratio) + 2, self.canonical_samples)
-            positions = np.arange(self.filled, end) * ratio
-            if not ends:
-                positions = positions[: np.searchsorted(positions, b - 1, side="right")]
-            knots = np.concatenate(([self.last], piece)) if a else piece
-            end = self.filled + len(positions)
-            self.clip[self.filled : end] = np.interp(positions, np.arange(b - len(knots), b),
-                                                     pcm16_to_float(knots))
-            self.last = int(piece[-1])
-        self.filled = end
 
     def close(self) -> int:
         """End the session: remove the WAV of the clip being filled, and return
         the source samples of that clip, which no record will score."""
         if self.wav is not None:
             self.wav.discard()
-        return self.received
+        return self.fill.received if self.fill is not None else 0
 
 
 class _Stats:
@@ -473,9 +430,14 @@ class IngestServer:
                 except OSError:  # TimeoutError at the frame's deadline, or a reset
                     self.stats.bump("connection_errors")
                     break
+                except Exception:  # a fault of the server's own, a MemoryError say: it ends this connection alone
+                    self.stats.bump("connection_errors")
+                    log.exception("connection of device %s failed", session.device_id)
+                    break
                 for clip in clips:
                     self.process_clip(session, clip)
-                if session.head_due is not None and session.filled >= session.head_due and stream.idle():
+                if (session.head_due is not None and session.fill is not None
+                        and session.fill.filled >= session.head_due and stream.idle()):
                     self.run_head_pass(session)
         finally:
             self.stats.bump("dropped_samples", session.close())
@@ -486,13 +448,9 @@ class IngestServer:
 
     # -- classification path -------------------------------------------------
 
-    def featurize_pcm(self, clip: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
-        """MFCC rows ``rows`` of the [T, n_mfcc] of a clip at the canonical rate: int16
-        samples, of which only those the rows read are converted, or float64 ones."""
-        if clip.dtype == np.float64:
-            audio = AudioClip(clip, CANONICAL_RATE)
-        else:
-            audio = AudioClip.from_pcm16(clip, CANONICAL_RATE, self._feature_config.reads(rows, len(clip)))
+    def featurize_pcm(self, fill: CanonicalFill, rows: slice = slice(None)) -> np.ndarray:
+        """MFCC rows ``rows`` of the [T, n_mfcc] of a clip's fill, reading only the samples they read."""
+        audio = fill.clip(self._feature_config.reads(rows, len(fill)))
         # at the canonical rate resample_linear returns the clip as it is; the call stays
         # while perfbench's traced ingest runs time it as audio.resample_linear
         return mfcc_frames(resample_linear(audio, CANONICAL_RATE), self._feature_config, rows).values
@@ -513,10 +471,9 @@ class IngestServer:
     def classify_pcm(self, pcm: np.ndarray, sample_rate: int) -> tuple[str, float]:
         """Label and P(infested) for one clip of int16 samples at any rate, from one pass over
         the whole clip resampled at once: the reference that streamed clips equal bit for bit."""
-        pcm, sample_rate = decimate_pcm16(pcm, sample_rate, CANONICAL_RATE)
-        if sample_rate != CANONICAL_RATE:
-            pcm = resample_linear(AudioClip.from_pcm16(pcm, sample_rate), CANONICAL_RATE).samples
-        return self.score_rows(self.featurize_pcm(pcm))
+        fill = CanonicalFill(sample_rate, len(pcm))
+        fill.add(pcm)
+        return self.score_rows(self.featurize_pcm(fill))
 
     def run_head_pass(self, session: _DeviceSession) -> None:
         """Compute the head rows of the clip the session is filling, whose head span has arrived,
@@ -527,7 +484,7 @@ class IngestServer:
         session.head_due = None
         try:
             with self._classifying:
-                rows = self.featurize_pcm(session.clip, slice(HEAD_ROWS))
+                rows = self.featurize_pcm(session.fill, slice(HEAD_ROWS))
                 state = self.score_head(rows)
         except Exception:
             log.exception("head pass failed for device %s; its clip takes one pass at its end",
@@ -543,9 +500,9 @@ class IngestServer:
         try:  # a non-finite P(infested) fails in DetectionRecord: counted here too
             with self._classifying:
                 if head_rows is None:
-                    rows = self.featurize_pcm(clip.samples)
+                    rows = self.featurize_pcm(clip.fill)
                 else:
-                    rows = np.concatenate([head_rows, self.featurize_pcm(clip.samples, slice(HEAD_ROWS, None))])
+                    rows = np.concatenate([head_rows, self.featurize_pcm(clip.fill, slice(HEAD_ROWS, None))])
                 label, p_infested = self.score_rows(rows, head_state)
             if head_state is not None:
                 self.stats.bump("head_scored_clips")

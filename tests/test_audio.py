@@ -8,8 +8,8 @@ import pytest
 
 from woodwatch.audio import (
     AudioClip,
+    CanonicalFill,
     ClipLabel,
-    decimate_pcm16,
     float_to_pcm16,
     load_wav,
     pcm16_to_float,
@@ -150,18 +150,27 @@ def test_resample_doubles_with_edge_hold():
     assert out.samples.tolist() == [0.0, 0.5, 1.0, 1.0]
 
 
-@pytest.mark.parametrize("rate", [16_000, 32_000, 44_100, 48_000, 96_000, 192_000])
-def test_a_decimated_int16_stream_is_the_resampled_clip_bit_for_bit(rate):
-    step, remainder = divmod(rate, 16_000)
+@pytest.mark.parametrize("rate", [8_000, 12_345, 16_000, 32_000, 44_100, 48_000, 96_000, 191_999, 192_000])
+def test_a_fill_is_the_resampled_clip_bit_for_bit_after_every_add(rate):
+    k = -(-rate // 16_000)
     rng = np.random.default_rng(rate)
-    for n in [0, 1, 2, *range(5 * step, 6 * step)]:  # every length mod step
+    for n in [0, 1, 2, *range(5 * k, 6 * k), rate // 50 + 3]:  # every length mod k, and a 20 ms clip
         pcm = rng.integers(-32768, 32768, n).astype("<i2")
-        expected = resample_linear(AudioClip.from_pcm16(pcm, rate), 16_000)
-        decimated, decimated_rate = decimate_pcm16(pcm, rate, 16_000)
-        assert (decimated is pcm) == bool(remainder or step == 1)  # left for interpolation, or nothing to do
-        out = resample_linear(AudioClip.from_pcm16(decimated, decimated_rate), 16_000)
-        assert out.sample_rate == expected.sample_rate == 16_000
-        assert out.samples.tobytes() == expected.samples.tobytes(), n
+        expected = resample_linear(AudioClip.from_pcm16(pcm, rate), 16_000).samples
+        positions = np.arange(len(expected)) * (rate / 16_000)
+        for n_cuts in (0, 1, 3, 12):  # in one piece, and cut at random, empty pieces too
+            fill = CanonicalFill(rate, n)
+            assert len(fill) == len(expected)
+            for piece in np.split(pcm, np.sort(rng.integers(0, n + 1, n_cuts))):
+                fill.add(piece)
+                # settled: each sample whose source positions are all in, the edge-hold's once the clip is
+                settled = len(expected) if fill.received == n else int(np.sum(positions <= fill.received - 1))
+                assert fill.filled == settled, (n, fill.received)
+                head = fill.clip(slice(0, fill.filled)).samples[: fill.filled]
+                assert head.tobytes() == expected[: fill.filled].tobytes(), (n, fill.received)
+            out = fill.clip()
+            assert fill.received == n and out.sample_rate == 16_000
+            assert out.samples.tobytes() == expected.tobytes(), (n, n_cuts)
 
 
 def test_pcm16_to_float_is_the_division_for_every_int16():

@@ -197,13 +197,14 @@ def test_extract_cuts_the_window_the_server_serves(tmp_path):
     rng = np.random.default_rng(17)
     save_wav(AudioClip(rng.uniform(-0.5, 0.5, 12 * 48_000), 48_000), dataset / "x.wav")  # 2.4 windows
     save_wav(AudioClip(rng.uniform(-0.5, 0.5, 5 * CANONICAL_RATE), CANONICAL_RATE), dataset / "y.wav")
+    save_wav(AudioClip(rng.uniform(-0.5, 0.5, 7 * 44_100 + 13), 44_100), dataset / "z.wav")  # interpolated
     assert main(["extract", "--dataset", str(dataset), "--out", str(tmp_path / "f.bin")]) == 0
     feature_set = load_features(tmp_path / "f.bin")
-    assert feature_set.ids == ["x.wav#0", "x.wav#1", "x.wav#2", "y.wav"]
+    assert feature_set.ids == ["x.wav#0", "x.wav#1", "x.wav#2", "y.wav", "z.wav#0", "z.wav#1"]
     assert IngestServer.clip_seconds == CANONICAL_SECONDS
-    assert feature_set.matrices.shape == (4, 157, 40)  # T of a 5 s clip, as the server classifies it
-    # the 48 kHz file decimated as int16 gives the dump of the float clip resampled
-    segments = [segment for name in ("x.wav", "y.wav")
+    assert feature_set.matrices.shape == (6, 157, 40)  # T of a 5 s clip, as the server classifies it
+    # each file's fill gives the dump of the float clip resampled
+    segments = [segment for name in ("x.wav", "y.wav", "z.wav")
                 for segment in segment_clip(resample_linear(load_wav(dataset / name), CANONICAL_RATE),
                                             CANONICAL_SECONDS)]
     save_features(tmp_path / "g.bin", FeatureSet(feature_set.ids, feature_set.labels,

@@ -148,11 +148,6 @@ def canonical(pcm, rate):
     return resample_linear(AudioClip.from_pcm16(pcm, rate), CANONICAL_RATE).samples
 
 
-def as_float(samples):
-    """A session's clip as float64: its int16 samples converted, or its float64 ones."""
-    return pcm16_to_float(samples) if samples.dtype == np.int16 else samples
-
-
 @pytest.mark.parametrize("rate, clip_seconds", [(8000, 0.00123), (16000, 0.0125), (44100, 0.01),
                                                 (48000, 0.0101), (12345, 0.0123)])
 def test_session_reassembly_matches_the_oracle(rate, clip_seconds, monkeypatch):
@@ -182,7 +177,8 @@ def test_session_reassembly_matches_the_oracle(rate, clip_seconds, monkeypatch):
     want_clips, want_counts = reassembly_oracle(frames, clip_samples)
     assert len(clips) == len(want_clips) > 10
     # each clip is the oracle's clip resampled whole, bit for bit
-    assert all(np.array_equal(as_float(got.samples), canonical(want, rate)) for got, want in zip(clips, want_clips))
+    assert all(got.fill.clip().samples.tobytes() == canonical(want, rate).tobytes()
+               for got, want in zip(clips, want_clips))
     counts = stats.snapshot()
     assert {key: counts[key] for key in want_counts} == want_counts
     assert want_counts["sequence_gaps"] > 0 and want_counts["duplicate_frames"] > 0
@@ -196,7 +192,7 @@ def test_a_session_counts_its_sequence_from_its_first_frame(origin):
     frames = [DeviceFrame(3, seq, 16_000, pcm[start : start + 2500].tobytes())
               for seq, start in enumerate(range(0, len(pcm), 2500), start=origin)]
     clips = [clip for frame in frames for clip in session.accept(frame, stats)]
-    assert len(clips) == 1 and np.array_equal(clips[0].samples, pcm)
+    assert len(clips) == 1 and clips[0].fill.clip().samples.tobytes() == canonical(pcm, 16_000).tobytes()
     assert session.close() == 0 and stats.snapshot()["sequence_gaps"] == 0
 
 
@@ -538,6 +534,30 @@ def test_reset_mid_header_is_counted_without_a_traceback(running_server, capfd):
     stats = server.stats.snapshot()
     assert stats["protocol_errors"] == 0 and stats["connection_errors"] == 1
     assert "Traceback" not in capfd.readouterr().err
+
+
+def test_an_unexpected_fault_ends_its_connection_alone_and_is_counted(running_server, monkeypatch):
+    server, store, _ = running_server
+    accept, calls = server_module._DeviceSession.accept, []
+
+    def fail_first(self, frame, stats):
+        calls.append(frame.device_id)
+        if len(calls) == 1:
+            raise RuntimeError("a fault of the server's own")
+        return accept(self, frame, stats)
+
+    monkeypatch.setattr(server_module._DeviceSession, "accept", fail_first)
+    frame = encode_frame(DeviceFrame(device_id=19, seq=0, sample_rate=16000, payload=bytes(200)))
+    with socket.create_connection(("127.0.0.1", server.port)) as conn:
+        conn.sendall(frame)
+        conn.settimeout(10.0)
+        assert conn.recv(1) == b""  # the handler ended the connection
+    assert wait_for(lambda: server.stats.snapshot()["connection_errors"] == 1)
+    simulate_device("127.0.0.1", server.port, gen_clean_clip(SynthConfig(snr_db=12.0), seed=530),
+                    device_id=20)
+    assert wait_for(lambda: server.stats.snapshot()["records_written"] == 1)
+    assert [r.device_id for r in load_store(store)[0]] == [20]
+    assert server.stats.snapshot()["connection_errors"] == 1
 
 
 def test_garbage_bytes_close_connection_without_crash(running_server):
