@@ -55,4 +55,4 @@ class TransportError(WoodwatchError):
 
 
 class ServerStartupError(WoodwatchError):
-    """Ingestion server could not bind its port or open its store."""
+    """Ingestion server could not bind its port, open its store or make its archive directory."""

@@ -66,10 +66,6 @@ class FeatureConfig:
         the fft_size window centred on sample r * hop."""
         return 1 + n_samples // self.hop
 
-    def span(self, rows: int) -> int:
-        """The samples that rows [0, rows) read, the clip's reflection aside."""
-        return (rows - 1) * self.hop + self.fft_size // 2
-
     def reads(self, rows: slice, n_samples: int) -> slice:
         """The samples of a clip of ``n_samples`` that ``frame_signal`` reads for
         rows ``rows``, those its reflection at the clip's ends copies included:

@@ -15,11 +15,12 @@ CANONICAL_SECONDS of samples, the window ``extract`` cuts for training.
 A connection fills one clip at CANONICAL_RATE as frames arrive
 (``audio.CanonicalFill``), allocated at its first sample and handed to its
 passes uncopied; past arrival the source rate no longer matters. A clip's MFCC
-rows come from two passes: the head pass computes rows [0, HEAD_ROWS) from
-their span (``FeatureConfig.span``) once it is in and the connection has no
-received byte waiting, and once the clip is full the tail pass computes rows
-[HEAD_ROWS, T), converting only the samples they read
-(``FeatureConfig.reads``). While bytes wait, the rest of the
+rows come from two passes, each converting only the samples its rows read
+(``FeatureConfig.reads``): the head pass computes rows [0, HEAD_ROWS) once
+their samples are in and the connection has no received byte waiting, and
+once the clip is full the tail pass computes rows [HEAD_ROWS, T). The clip
+(``_Clip``) holds its fill, its WAV and its head pass's result from its first
+sample to its record. While bytes wait, the rest of the
 clip may be in already, and then a head pass could not make the record
 earlier; so the head pass waits for the first idle moment after its span, and
 a clip that finds none before its last frame takes one pass over the whole
@@ -56,7 +57,6 @@ import time
 import wave
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -154,18 +154,21 @@ class _ArchiveWav:
         self._wav = self.path = None
 
 
-class _Clip(NamedTuple):
-    """A complete clip: its fill at CANONICAL_RATE and its archive WAV, if any."""
+class _Clip:
+    """A clip from its first sample to its record: its fill at CANONICAL_RATE, its
+    archive WAV, if any, and its head pass's rows and model state once that pass has run."""
 
-    fill: CanonicalFill
-    wav: _ArchiveWav | None
+    def __init__(self, fill: CanonicalFill, wav: _ArchiveWav | None):
+        self.fill = fill
+        self.wav = wav
+        self.head_ran = False
+        self.head: tuple[np.ndarray, HeadState | None] | None = None  # None after a failed head pass too
 
 
 class _DeviceSession:
-    """Reassembly state for one device connection: the clip it fills at
-    CANONICAL_RATE as frames arrive, that clip's archive WAV, and its head rows."""
+    """Reassembly state for one device connection and the clip it fills as frames arrive."""
 
-    def __init__(self, head_samples: int | None = None, archive_dir: Path | None = None):
+    def __init__(self, archive_dir: Path | None = None):
         self.archive_dir = archive_dir
         self.device_id: int | None = None
         self.sample_rate: int | None = None
@@ -173,17 +176,7 @@ class _DeviceSession:
         self.next_seq = 0
         self.stream_position = 0  # sample index of the next clip start, from the first frame
         self.clips_cut = 0  # the index of the clip being filled
-        self.fill: CanonicalFill | None = None  # the clip being filled, from its first sample
-        self.wav: _ArchiveWav | None = None
-        self.head_samples = self.head_due = head_samples  # canonical samples; None: each clip takes one pass
-        self.head: tuple[np.ndarray, HeadState | None] | None = None  # the head pass's rows and model state
-
-    def take_head(self) -> tuple[np.ndarray, HeadState | None] | None:
-        """The head rows and model state of the clip just cut, or None if its head pass
-        did not run; the next clip's head pass is then due."""
-        head, self.head = self.head, None
-        self.head_due = self.head_samples
-        return head
+        self.clip: _Clip | None = None  # the clip being filled, from its first sample
 
     def accept(self, frame: protocol.DeviceFrame, stats: "_Stats") -> list[_Clip]:
         """Fold one validated frame in; returns any completed clips.
@@ -220,29 +213,31 @@ class _DeviceSession:
         """Take source samples that follow those in into the clip being filled,
         and each clip they complete into ``clips``."""
         while len(pcm):
-            if self.fill is None:
-                self.fill = CanonicalFill(self.sample_rate, self.clip_samples)
-                if self.archive_dir is not None:
-                    self.wav = _ArchiveWav(self.archive_dir, f"device{self.device_id}_clip{self.clips_cut:04d}",
-                                           self.sample_rate, self.clip_samples)
-            room = self.clip_samples - self.fill.received
+            clip = self.clip
+            if clip is None:
+                wav = None if self.archive_dir is None else _ArchiveWav(
+                    self.archive_dir, f"device{self.device_id}_clip{self.clips_cut:04d}",
+                    self.sample_rate, self.clip_samples)
+                clip = self.clip = _Clip(CanonicalFill(self.sample_rate, self.clip_samples), wav)
+            room = self.clip_samples - clip.fill.received
             piece, pcm = pcm[:room], pcm[room:]
-            self.fill.add(piece)
-            if self.wav is not None:
-                self.wav.write(piece)
-            if self.fill.received == self.clip_samples:
-                clips.append(_Clip(self.fill, self.wav))
-                if self.wav is not None:
-                    self.wav.finish()
-                self.fill = self.wav = None
+            clip.fill.add(piece)
+            if clip.wav is not None:
+                clip.wav.write(piece)
+            if clip.fill.received == self.clip_samples:
+                clips.append(clip)
+                if clip.wav is not None:
+                    clip.wav.finish()
+                self.clip = None
                 self.clips_cut += 1
 
     def close(self) -> int:
         """End the session: remove the WAV of the clip being filled, and return
         the source samples of that clip, which no record will score."""
-        if self.wav is not None:
-            self.wav.discard()
-        return self.fill.received if self.fill is not None else 0
+        clip = self.clip
+        if clip is not None and clip.wav is not None:
+            clip.wav.discard()
+        return clip.fill.received if clip is not None else 0
 
 
 class _Stats:
@@ -317,12 +312,12 @@ class IngestServer:
         (self._graph, self._kind, self._feature_config, self._stats_norm,
          self._checkpoint_id) = load_model(checkpoint_path)
         clip = segment_samples(CANONICAL_SECONDS, CANONICAL_RATE)
-        rows, span = self._feature_config.rows(clip), self._feature_config.span(HEAD_ROWS)
+        rows, span = self._feature_config.rows(clip), self._feature_config.reads(slice(HEAD_ROWS), clip).stop
         # the LSTM steps a head pass settles (31 of 39 for cnn_lstm at the defaults), or None
         self._head_steps = self._graph.head_steps(HEAD_ROWS, rows)
         # the samples a clip's head pass waits for (66,048 at the defaults), or None when each
         # clip takes one pass: when a pass would compute under 2 rows (a one-row piece's
-        # bits may differ from the whole clip's), or when the span is a whole clip
+        # bits may differ from the whole clip's), or when the span reaches the clip's end
         self._head_samples = span if 2 <= HEAD_ROWS <= rows - 2 and span < clip else None
 
         try:
@@ -331,7 +326,10 @@ class IngestServer:
         except OSError as exc:
             raise ServerStartupError(f"store not writable: {exc}") from exc
         if self.archive_dir:
-            self.archive_dir.mkdir(parents=True, exist_ok=True)
+            try:
+                self.archive_dir.mkdir(parents=True, exist_ok=True)
+            except OSError as exc:  # a file at that path, say
+                raise ServerStartupError(f"archive directory not usable: {exc}") from exc
 
         try:
             self._sock = socket.create_server((host, port))
@@ -407,7 +405,7 @@ class IngestServer:
 
     def _serve(self, conn: socket.socket) -> None:
         """Read one device's frames, classifying and storing each clip, until the stream ends."""
-        session = _DeviceSession(self._head_samples, self.archive_dir)
+        session = _DeviceSession(self.archive_dir)
         stream = _FrameDeadlineReader(conn)
         try:
             while True:
@@ -436,8 +434,9 @@ class IngestServer:
                     break
                 for clip in clips:
                     self.process_clip(session, clip)
-                if (session.head_due is not None and session.fill is not None
-                        and session.fill.filled >= session.head_due and stream.idle()):
+                filling = session.clip
+                if (self._head_samples is not None and filling is not None and not filling.head_ran
+                        and filling.fill.filled >= self._head_samples and stream.idle()):
                     self.run_head_pass(session)
         finally:
             self.stats.bump("dropped_samples", session.close())
@@ -481,22 +480,23 @@ class IngestServer:
 
         A failure is logged and leaves neither, so the clip takes one pass at its end.
         """
-        session.head_due = None
+        clip = session.clip
+        clip.head_ran = True
         try:
             with self._classifying:
-                rows = self.featurize_pcm(session.fill, slice(HEAD_ROWS))
+                rows = self.featurize_pcm(clip.fill, slice(HEAD_ROWS))
                 state = self.score_head(rows)
         except Exception:
             log.exception("head pass failed for device %s; its clip takes one pass at its end",
                           session.device_id)
             return
-        session.head = rows, state
+        clip.head = rows, state
 
     def process_clip(self, session: _DeviceSession, clip: _Clip) -> None:
         start = session.stream_position
         session.stream_position += session.clip_samples
         index = start // session.clip_samples
-        head_rows, head_state = session.take_head() or (None, None)
+        head_rows, head_state = clip.head or (None, None)
         try:  # a non-finite P(infested) fails in DetectionRecord: counted here too
             with self._classifying:
                 if head_rows is None:

@@ -200,8 +200,8 @@ def train(graph: ModelGraph, x_train: np.ndarray, y_train: np.ndarray,
 
 def predict(graph: ModelGraph, x: np.ndarray, head: HeadState | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Inference-mode class probabilities and argmax labels (ties -> clean).
-    With ``head``, the graph's LSTM resumes from that state (``ModelGraph.resume``)."""
-    probs = softmax(graph.forward(x, train=False) if head is None else graph.resume(x, head))
+    With ``head``, the graph's LSTM resumes from that state (``ModelGraph.forward``)."""
+    probs = softmax(graph.forward(x, head=head))
     return probs, probs.argmax(axis=1)
 
 

@@ -421,15 +421,22 @@ class ModelGraph:
     def __init__(self, layers: list[Layer]):
         self.layers = layers
 
-    def forward(self, x, train: bool = False, rng: np.random.Generator | None = None) -> np.ndarray:
+    def forward(self, x, train: bool = False, rng: np.random.Generator | None = None,
+                head: HeadState | None = None) -> np.ndarray:
+        """The logits of ``x``. An inference-mode forward given ``head`` starts its LSTM at
+        step ``head.steps`` from ``head``'s state, as :meth:`LSTM.run` does; every other
+        layer reads all of ``x``."""
         for layer in self.layers:
-            x = layer.forward(x, train=train, rng=rng)
+            if head is not None and isinstance(layer, LSTM):
+                x = layer.forward(x[:, head.steps :], state=(head.h, head.c))
+            else:
+                x = layer.forward(x, train=train, rng=rng)
         return x
 
     def head_steps(self, head_rows: int, rows: int) -> int | None:
         """How many LSTM steps the first ``head_rows`` of an input's ``rows``
-        rows settle, so that :meth:`run_head` over those rows and
-        :meth:`resume` from its state give the logits of :meth:`forward`, bit
+        rows settle, so that :meth:`run_head` over those rows and a
+        :meth:`forward` from its state give the logits of one forward, bit
         for bit; or None, when the graph has no LSTM or a layer before it
         reads every row.
 
@@ -463,16 +470,6 @@ class ModelGraph:
                 return HeadState(steps, *layer.run(x[:, :steps]))
             x = layer.forward(x)
         raise ValueError("the graph has no LSTM")
-
-    def resume(self, x: np.ndarray, head: HeadState) -> np.ndarray:
-        """Inference-mode logits of ``x`` whose LSTM starts at step ``head.steps``
-        from ``head``'s state; every other layer reads all of ``x``."""
-        for layer in self.layers:
-            if isinstance(layer, LSTM):
-                x = layer.forward(x[:, head.steps :], state=(head.h, head.c))
-            else:
-                x = layer.forward(x)
-        return x
 
     def backward(self, dlogits: np.ndarray) -> None:
         """Every layer's parameter gradients; the gradient of the data is not formed."""

@@ -234,7 +234,8 @@ def _extract_minor_faults(dataset, out) -> int:
     proc = subprocess.Popen([sys.executable, "-c", program, "extract", "--dataset", str(dataset),
                              "--out", str(out)], env=env, stdout=subprocess.DEVNULL)
     _, status, usage = os.wait4(proc.pid, 0)
-    assert os.waitstatus_to_exitcode(status) == 0
+    proc.returncode = os.waitstatus_to_exitcode(status)  # reaped here: Popen must not wait for it again
+    assert proc.returncode == 0
     return usage.ru_minflt
 
 
@@ -494,6 +495,19 @@ def test_serve_busy_port_is_runtime_error(capsys, small_pipeline, tmp_path):
         blocker.close()
     assert code == 3
     assert "cannot bind" in err
+
+
+def test_serve_archive_path_that_is_a_file_is_runtime_error(capsys, small_pipeline, tmp_path):
+    _, feats = small_pipeline
+    ckpt = tmp_path / "m.ckpt"
+    assert main(["train", "--features", str(feats), "--kind", "dnn_mean",
+                 "--epochs", "1", "--seed", "0", "--val-ratio", "0.25",
+                 "--out-checkpoint", str(ckpt)]) == 0
+    (tmp_path / "archive").write_bytes(b"")
+    code, _, err = run_cli(capsys, "serve", "--checkpoint", str(ckpt), "--store", str(tmp_path / "s.jsonl"),
+                           "--port", "0", "--archive-dir", str(tmp_path / "archive"))
+    assert code == 3
+    assert "archive directory" in err
 
 
 def test_simulate_device_dead_server_is_runtime_error(capsys):

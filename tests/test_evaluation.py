@@ -194,10 +194,10 @@ def test_each_fit_runs_one_inference_pass_on_its_test_rows(monkeypatch, tiny_fea
     passes = []  # (graph, rows) per inference forward
     forward = ModelGraph.forward
 
-    def counting_forward(self, x, train=False, rng=None):
+    def counting_forward(self, x, train=False, rng=None, head=None):
         if not train:
             passes.append((self, len(x)))
-        return forward(self, x, train=train, rng=rng)
+        return forward(self, x, train=train, rng=rng, head=head)
 
     monkeypatch.setattr(ModelGraph, "forward", counting_forward)
     cfg = TrainConfig(epochs=3, batch_size=8)

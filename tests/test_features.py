@@ -266,7 +266,8 @@ def test_rows_in_two_pieces_are_the_whole_clip_rows_bit_for_bit(config, rate):
     whole = mfcc_frames(resample_linear(AudioClip.from_pcm16(pcm, rate), CANONICAL_RATE), cfg).values
     assert len(whole) == cfg.rows(5 * CANONICAL_RATE)
     for h in (2, 3, 64, 128, len(whole) - 3, len(whole) - 2):
-        assert cfg.reads(slice(h), len(canonical)) == slice(0, min(cfg.span(h), len(canonical)))
+        span = (h - 1) * cfg.hop + cfg.fft_size // 2  # the head's windows, reflection aside
+        assert cfg.reads(slice(h), len(canonical)) == slice(0, min(span, len(canonical)))
         assert np.array_equal(np.concatenate([rows(slice(h)), rows(slice(h, None))]), whole), h
 
 

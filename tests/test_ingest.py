@@ -727,6 +727,12 @@ def test_server_startup_errors(served_checkpoint, tmp_path):
         IngestServer(0, tmp_path / "fmax9k.ckpt", tmp_path / "s.jsonl")
 
 
+def test_an_archive_path_that_is_a_file_is_a_startup_error(served_checkpoint, tmp_path):
+    (tmp_path / "archive").write_bytes(b"")
+    with pytest.raises(ServerStartupError, match="archive"):
+        IngestServer(0, served_checkpoint, tmp_path / "s.jsonl", archive_dir=tmp_path / "archive")
+
+
 # -- connection cap ---------------------------------------------------------------------
 
 def test_a_connection_over_the_cap_is_closed_and_counted(served_checkpoint, tmp_path, monkeypatch):
@@ -1148,7 +1154,7 @@ def send_pausing_for_head_passes(conn, frames, pauses, head_passes):
     conn.sendall(b"".join(frames[sent:]))
 
 
-HEAD_SPAN = FeatureConfig().span(server_module.HEAD_ROWS)  # samples at 16 kHz
+HEAD_SPAN = FeatureConfig().reads(slice(server_module.HEAD_ROWS), 80_000).stop  # 66,048 samples at 16 kHz
 HEAD_FRAMES = -(-HEAD_SPAN // 2500)  # the 2,500-sample frames that bring a 16 kHz head span
 HEAD, TAIL, WHOLE = slice(server_module.HEAD_ROWS), slice(server_module.HEAD_ROWS, None), slice(None)
 
@@ -1186,14 +1192,36 @@ def test_streamed_clips_are_scored_and_archived_as_the_clips_sent(running_server
     assert sorted(path.name for path in archive.iterdir()) == ["device41_clip0000.wav", "device41_clip0001.wav"]
 
 
-def test_a_config_that_would_leave_a_one_row_pass_takes_one_pass(served_checkpoint, tmp_path):
-    cfg = FeatureConfig(fft_size=1024, hop=625)  # 129 rows, and rows [0, 128) read 79,887 samples
-    assert cfg.rows(80_000) == server_module.HEAD_ROWS + 1 and cfg.span(server_module.HEAD_ROWS) < 80_000
+def test_one_frame_ends_a_head_scored_clip_and_carries_the_whole_next_one(running_server, served_passes,
+                                                                         head_passes):
+    server, store, _ = running_server
+    pcm = (np.random.default_rng(526).standard_normal(2 * 80_000 + 40_000) * 3000).astype("<i2")
+    head = HEAD_FRAMES * 2500
+    # after clip 0's head pass, one frame brings the rest of clip 0, all of clip 1 and
+    # less than clip 2's head span
+    last = encode_frame(DeviceFrame(device_id=49, seq=HEAD_FRAMES, sample_rate=16_000, payload=pcm[head:].tobytes()))
+    with socket.create_connection(("127.0.0.1", server.port)) as conn:
+        send_pausing_for_head_passes(conn, frames_of(49, pcm[:head]) + [last], [HEAD_FRAMES], head_passes)
+    assert wait_for(lambda: server.stats.snapshot()["dropped_samples"] == 40_000)
+    stats = server.stats.snapshot()
+    assert stats["records_written"] == 2 and stats["head_scored_clips"] == 1
+    assert served_passes[0] == [HEAD, TAIL, WHOLE]
+    records = load_store(store)[0]
+    assert [r.clip_start for r in records] == [0, 80_000]
+    for k, record in enumerate(records):
+        assert record.p_infested == server.classify_pcm(pcm[k * 80_000 : (k + 1) * 80_000], 16_000)[1], k
+
+
+@pytest.mark.parametrize("cfg, rows, head_reads", [
+    (FeatureConfig(fft_size=1024, hop=625), 129, 79_887),  # the clip's end would compute one row
+    (FeatureConfig(fft_size=4096, hop=620), 130, 80_000),  # rows [0, 128) read 80,788 samples: the whole clip
+], ids=["hop625", "fft4096"])
+def test_a_config_that_would_leave_a_one_row_pass_takes_one_pass(served_checkpoint, tmp_path, cfg, rows, head_reads):
+    assert cfg.rows(80_000) == rows and cfg.reads(slice(server_module.HEAD_ROWS), 80_000).stop == head_reads
     checkpoint = load_checkpoint(served_checkpoint)
-    save_checkpoint(tmp_path / "hop625.ckpt", checkpoint.graph, checkpoint.kind, checkpoint.seed,
+    save_checkpoint(tmp_path / "split.ckpt", checkpoint.graph, checkpoint.kind, checkpoint.seed,
                     feature_stats=checkpoint.feature_stats, feature_config=cfg.to_dict())
-    server = IngestServer(0, tmp_path / "hop625.ckpt", tmp_path / "store.jsonl")
-    assert server._head_samples is None  # the clip's end would compute one row
+    server = IngestServer(0, tmp_path / "split.ckpt", tmp_path / "store.jsonl")
     passes, featurize = [], server.featurize_pcm
 
     def featurize_logged(clip, rows=slice(None)):
@@ -1203,6 +1231,7 @@ def test_a_config_that_would_leave_a_one_row_pass_takes_one_pass(served_checkpoi
     server.featurize_pcm = featurize_logged
     server.start()
     try:
+        assert server._head_samples is None
         pcm = (np.random.default_rng(524).standard_normal(80_000) * 3000).astype("<i2")
         frames = frames_of(48, pcm)
         with socket.create_connection(("127.0.0.1", server.port)) as conn:
@@ -1213,7 +1242,7 @@ def test_a_config_that_would_leave_a_one_row_pass_takes_one_pass(served_checkpoi
     finally:
         server.stop()
     assert passes == [WHOLE] and server.stats.snapshot()["head_scored_clips"] == 0
-    graph, _, _, stats, _ = load_model(tmp_path / "hop625.ckpt")
+    graph, _, _, stats, _ = load_model(tmp_path / "split.ckpt")
     probs, _ = predict(graph, apply_standardize(offline_rows(pcm, 16_000, cfg), stats)[None])
     assert load_store(tmp_path / "store.jsonl")[0][0].p_infested == float(probs[0, 1])
 
